@@ -21,7 +21,6 @@ harness, and the portfolio's worker specs all resolve names through, so
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .baselines.brute_force import BruteForceSolver
@@ -135,23 +134,11 @@ def make_solver(
     return built
 
 
-#: Old positional order of :func:`solve`'s tail parameters, for the
-#: one-release deprecation shim below.
-_SOLVE_POSITIONAL_SHIM = (
-    "timeout",
-    "propagation",
-    "tracer",
-    "profile",
-    "metrics",
-    "hotspot",
-)
-
-
 def solve(
     instance: PBInstance,
     solver: str = "bsolo",
     options: Optional[SolverOptions] = None,
-    *deprecated_positional,
+    *,
     assumptions: Optional[Sequence[int]] = None,
     timeout: Optional[float] = None,
     propagation: Optional[str] = None,
@@ -175,11 +162,8 @@ def solve(
     corresponding options fields when given, so instrumented one-off
     runs need no explicit :class:`SolverOptions`.
 
-    All of the above are keyword-only.  Positional callers from the old
-    ``solve(instance, solver, options, timeout, propagation, ...)``
-    signature still work for one release behind a
-    :class:`DeprecationWarning`.  For backward compatibility with the
-    original ``solve(instance, options)`` signature, a
+    All of the above are keyword-only.  For backward compatibility with
+    the original ``solve(instance, options)`` signature, a
     :class:`SolverOptions` passed as the second positional argument
     selects the default bsolo solver with those options.
     """
@@ -187,37 +171,6 @@ def solve(
         if options is not None:
             raise TypeError("options passed twice")
         solver, options = "bsolo", solver
-    if deprecated_positional:
-        if len(deprecated_positional) > len(_SOLVE_POSITIONAL_SHIM):
-            raise TypeError(
-                "solve() takes at most %d positional arguments (%d given)"
-                % (3 + len(_SOLVE_POSITIONAL_SHIM), 3 + len(deprecated_positional))
-            )
-        warnings.warn(
-            "passing instrument arguments to repro.api.solve() positionally "
-            "is deprecated and will be removed next release; use keywords "
-            "(timeout=, propagation=, tracer=, profile=, metrics=, hotspot=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        provided = {
-            "timeout": timeout,
-            "propagation": propagation,
-            "tracer": tracer,
-            "profile": profile,
-            "metrics": metrics,
-            "hotspot": hotspot,
-        }
-        for name, value in zip(_SOLVE_POSITIONAL_SHIM, deprecated_positional):
-            if provided[name] is not None:
-                raise TypeError("solve() got %s= twice" % name)
-            provided[name] = value
-        timeout = provided["timeout"]
-        propagation = provided["propagation"]
-        tracer = provided["tracer"]
-        profile = provided["profile"]
-        metrics = provided["metrics"]
-        hotspot = provided["hotspot"]
     overrides = {}
     if timeout is not None:
         overrides["time_limit"] = timeout

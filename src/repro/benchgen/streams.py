@@ -14,8 +14,8 @@ under a lockstep-equality oracle.
 Three stream flavours mirror the three reuse paths of a session:
 
 * :func:`assumption_stream` — assumptions only; the instance never
-  changes, so retained learned constraints, branching activity, the MIS
-  trail cache and the warm LP root all carry over between calls.  This
+  changes, so retained learned constraints, branching activity and the
+  MIS trail cache all carry over between calls.  This
   is the family expected to show the largest warm-over-cold speedup.
 * :func:`constraint_stream` — pushes and pops constraint frames (with
   occasional assumptions), exercising frame-tagged learned-constraint

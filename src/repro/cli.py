@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cold-bounds",
         action="store_true",
         help=(
-            "disable the incremental bounders (trail-delta MIS cache, "
-            "warm-started simplex) and recompute every bound from scratch"
+            "disable the trail-delta MIS cache and recompute every MIS "
+            "bound from scratch (the LP bound is always solved cold)"
         ),
     )
     parser.add_argument(

@@ -59,7 +59,6 @@ class SolverOptions:
         phase_saving: bool = False,
         pb_learning: bool = False,
         propagation: str = "counter",
-        on_new_solution=None,
         time_limit: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         max_decisions: Optional[int] = None,
@@ -108,10 +107,10 @@ class SolverOptions:
         #: escalates the hybrid MIS pre-filter from its recent payoff
         #: (see :mod:`repro.core.lb_schedule`).
         self.lb_schedule = lb_schedule
-        #: Feed trail deltas to the bounders so MIS re-evaluates only the
-        #: constraints touched since the previous call and the LP bound
-        #: re-solves from its previous basis (warm start).  Disabling
-        #: restores the cold per-node computations.
+        #: Feed trail deltas to the MIS bounder so it re-evaluates only
+        #: the constraints touched since the previous call.  Disabling
+        #: restores the cold per-node MIS computation.  The LP bound is
+        #: solved cold at every node either way.
         self.incremental_bounds = incremental_bounds
         #: Learn w_bc and backtrack non-chronologically on bound conflicts
         #: (Section 4).  When False, bound conflicts backtrack
@@ -153,9 +152,6 @@ class SolverOptions:
         #: Validated lazily by ``make_engine`` so third-party backends
         #: registered after option construction still work.
         self.propagation = propagation
-        #: Progress callback ``(cost, assignment) -> None`` invoked on
-        #: every improving solution (cost includes the objective offset).
-        self.on_new_solution = on_new_solution
         #: Wall-clock budget in seconds (None = unlimited).
         self.time_limit = time_limit
         #: Conflict budget (None = unlimited).
@@ -194,7 +190,7 @@ class SolverOptions:
         #: Incumbent callback ``(cost, assignment) -> None`` fired on
         #: every improving solution (cost includes the objective offset).
         #: The portfolio runner uses this to publish incumbents to the
-        #: other workers; fires alongside the legacy ``on_new_solution``.
+        #: other workers.
         self.on_incumbent = on_incumbent
         #: Cooperative bound import: a zero-argument callable returning
         #: the best cost known *outside* this solver (offset included),
@@ -258,7 +254,6 @@ class SolverOptions:
         and tracer included), suitable for ``SolverOptions(**kwargs)``."""
         kwargs = self.describe()
         kwargs.update(
-            on_new_solution=self.on_new_solution,
             tracer=self.tracer,
             metrics=self.metrics,
             hotspot=self.hotspot,

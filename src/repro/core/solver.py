@@ -100,7 +100,6 @@ def make_bounders(
     return prefilter, LPRelaxationBound(
         instance,
         max_iterations=options.lp_max_iterations,
-        warm=options.incremental_bounds,
         metrics=metrics,
     )
 
@@ -208,7 +207,7 @@ class BsoloSolver:
         )
         if session is None and self._options.incremental_bounds:
             # Feed trail deltas to the bounders that can exploit them
-            # (incremental MIS cache, warm-started LP).
+            # (the incremental MIS cache; the LP bound is always cold).
             for bounder in (self._prefilter, self._bounder):
                 if bounder is not None and hasattr(bounder, "attach_trail"):
                     bounder.attach_trail(self._propagator.trail)
@@ -939,8 +938,6 @@ class BsoloSolver:
                         conflicts=self.stats.conflicts,
                     )
                 )
-            if self._options.on_new_solution is not None:
-                self._options.on_new_solution(reported, dict(assignment))
             if self._options.on_incumbent is not None:
                 self._options.on_incumbent(reported, dict(assignment))
 

@@ -1,10 +1,10 @@
 """Persistent solving sessions: ``solve_under``, push/pop, warm state.
 
 A :class:`SolverSession` keeps one propagation engine, VSIDS activity,
-restart/bound-schedule state and the trail-attached bounders (the
-incremental MIS cache and the warm-started LP of the paper's Section 3
-machinery) alive across many related solve calls, instead of rebuilding
-everything per instance.  The intended workload is ROADMAP Open item 4's
+restart/bound-schedule state and the bounders (with the trail-attached
+incremental MIS cache of the paper's Section 3 machinery) alive across
+many related solve calls, instead of rebuilding everything per
+instance.  The intended workload is ROADMAP Open item 4's
 perturbation streams: solve, tweak (assumptions, an extra constraint, a
 new objective), solve again.
 
@@ -375,9 +375,10 @@ class SolverSession:
         """(Re)build prefilter/bounder against the current instance.
 
         Structural changes (frame add, pop, new objective) invalidate
-        the cached MIS partition and the warm LP basis wholesale; a
-        rebuild is the honest invalidation.  Old trail feeds are
-        detached first so the trail stops updating dead deltas.
+        the cached MIS partition wholesale; a rebuild is the honest
+        invalidation (the LP bound keeps no state between nodes).  Old
+        trail feeds are detached first so the trail stops updating dead
+        deltas.
         """
         trail = self.propagator.trail
         for bounder in (self.prefilter, self.bounder):

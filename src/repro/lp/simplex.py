@@ -4,7 +4,7 @@ Solves::
 
     minimize    c . x
     subject to  A x  {>=, <=, =}  b     (row-wise senses)
-                l_j <= x_j <= u_j       (l_j finite >= 0, u_j may be +inf)
+                0 <= x_j <= u_j         (u_j may be +inf)
 
 This is the LP substrate behind the paper's linear-programming relaxation
 lower bound (Section 3.1): relaxing ``x in {0,1}`` to ``0 <= x <= 1``.
@@ -25,26 +25,8 @@ Implementation notes
   row updates after each pivot (one ``Binv`` row times the tableau)
   instead of the full ``c_B B^-1 T`` re-price per iteration, and both
   are recomputed from scratch at every periodic refactorization so
-  incremental drift cannot outlive a refactor interval.  The bounded
-  ratio test was already vectorized; the incremental pricing is what
-  turns the warm-start iteration win into a wall-clock win (the
+  incremental drift cannot outlive a refactor interval (the
   ``lp_batch_pivots`` observability counter tracks these cheap pivots).
-
-Warm starts
------------
-:meth:`SimplexSolver.set_column_bounds` tightens or relaxes one
-structural column's box and :meth:`SimplexSolver.warm_resolve`
-re-optimizes from the previous basis.  Changing bounds leaves the
-reduced costs — and therefore dual feasibility of an optimal basis —
-untouched, so the repair is a textbook *bounded dual simplex*: pick the
-basic variable with the largest bound violation, price its tableau row,
-enter the column with the smallest dual ratio, repeat until primal
-feasible, then let the ordinary primal phase 2 certify optimality.  The
-branch-and-bound lower bounder leans on this: fixing a variable at a
-search node is a pair of bound changes, and consecutive nodes need a
-handful of dual pivots instead of a full two-phase solve.  Any hiccup
-(iteration cap, dual unboundedness, numerical breakdown) is reported so
-the caller can fall back to a cold solve.
 
 The solver reports primal values, row activities/slacks (used for the
 paper's eq. 9 bound-conflict explanations) and duals (used to warm-start
@@ -126,7 +108,6 @@ class SimplexSolver:
         senses: Sequence[str],
         upper: Optional[Sequence[float]] = None,
         max_iterations: int = 20000,
-        lower: Optional[Sequence[float]] = None,
     ):
         self.c = np.asarray(c, dtype=float)
         self.A = np.asarray(A, dtype=float)
@@ -148,18 +129,8 @@ class SimplexSolver:
             raise ValueError("upper bounds must have length %d" % self.n)
         if np.any(self.upper < 0):
             raise ValueError("upper bounds must be non-negative")
-        if lower is None:
-            lower = [0.0] * self.n
-        self.lower = np.asarray(lower, dtype=float)
-        if self.lower.shape != (self.n,):
-            raise ValueError("lower bounds must have length %d" % self.n)
-        if np.any(self.lower < 0) or not np.all(np.isfinite(self.lower)):
-            raise ValueError("lower bounds must be finite and non-negative")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bounds must not exceed upper bounds")
         self.max_iterations = max_iterations
         self._iterations = 0
-        self._basis: Optional[np.ndarray] = None
         #: Pivots applied through the incremental (rank-1) pricing
         #: kernels rather than a full re-price — the batched-pivot
         #: figure surfaced as the ``lp_batch_pivots`` metric.
@@ -167,17 +138,20 @@ class SimplexSolver:
 
     # ------------------------------------------------------------------
     def solve(self) -> LPResult:
-        """Run the (possibly warm-started) simplex; numerically-failed
+        """Run the two-phase simplex from scratch; numerically-failed
         runs degrade to an unsolved LPResult instead of raising."""
         try:
             return self._solve()
         except np.linalg.LinAlgError:
             # Total numerical breakdown: report as an iteration-limit
             # outcome; callers fall back to the trivial bound.
-            self._basis = None
             return LPResult(
                 ITERATION_LIMIT, None, None, None, None, None, self._iterations
             )
+
+    # The benchmark's span table (perfbench/spans.py) still names this
+    # entry point; the alias goes when that entry goes.
+    warm_resolve = solve
 
     def _solve(self) -> LPResult:
         n, m = self.n, self.m
@@ -188,8 +162,6 @@ class SimplexSolver:
         T[:, :n] = self.A
         upper = np.full(total, math.inf)
         upper[:n] = self.upper
-        lower = np.zeros(total)
-        lower[:n] = self.lower
         col = n
         self._slack_col = [-1] * m
         for i, sense in enumerate(self.senses):
@@ -212,14 +184,10 @@ class SimplexSolver:
         )
         score = sense_sign @ self.A
         for j in range(n):
-            if (
-                score[j] > 0
-                and math.isfinite(self.upper[j])
-                and self.upper[j] > self.lower[j]
-            ):
+            if score[j] > 0 and math.isfinite(self.upper[j]) and self.upper[j] > 0:
                 status[j] = _AT_UPPER
 
-        start_x = np.where(status[:n] == _AT_UPPER, self.upper, self.lower)
+        start_x = np.where(status[:n] == _AT_UPPER, self.upper, 0.0)
         residual = self.b - self.A @ start_x
         basis: List[int] = []
         needs_artificial = False
@@ -241,12 +209,10 @@ class SimplexSolver:
 
         self._T = T
         self._upper = upper
-        self._lower = lower
         self._status = status
         # int array: pivots index/assign it without list<->array copies
         self._basis = np.asarray(basis, dtype=np.intp)
         self._total = total
-        self._art_start = art_start
         self._iterations = 0
 
         if needs_artificial:
@@ -268,163 +234,7 @@ class SimplexSolver:
             return self._result(UNBOUNDED)
         if outcome == ITERATION_LIMIT:
             return self._result(ITERATION_LIMIT)
-        return self._result(OPTIMAL, cost=phase2_cost)
-
-    # ------------------------------------------------------------------
-    # Warm-start API (bound tightening)
-    # ------------------------------------------------------------------
-    def set_column_bounds(self, j: int, lower: float, upper: float) -> None:
-        """Change structural column ``j``'s box ``[lower, upper]``.
-
-        Cheap bookkeeping only: call :meth:`warm_resolve` afterwards to
-        re-optimize from the previous basis (or :meth:`solve` to restart
-        cold).  ``lower`` must stay finite and ``0 <= lower <= upper``.
-        """
-        if not (0.0 <= lower <= upper) or not math.isfinite(lower):
-            raise ValueError(
-                "invalid bounds [%r, %r] for column %d" % (lower, upper, j)
-            )
-        self.lower[j] = lower
-        self.upper[j] = upper
-        if self._basis is not None and hasattr(self, "_lower"):
-            self._lower[j] = lower
-            self._upper[j] = upper
-
-    @property
-    def has_basis(self) -> bool:
-        """Whether a previous :meth:`solve` left a reusable basis."""
-        return self._basis is not None
-
-    def warm_resolve(self) -> LPResult:
-        """Re-optimize after :meth:`set_column_bounds` changes.
-
-        Runs the bounded dual simplex from the existing basis until
-        primal feasibility, then the primal phase 2 to certify the
-        optimum.  Requires a prior :meth:`solve`; without one this
-        simply solves cold.  Statuses other than OPTIMAL / INFEASIBLE
-        mean the warm start failed (stale or degenerate basis) — callers
-        should fall back to :meth:`solve`.
-        """
-        if self._basis is None:
-            return self.solve()
-        self._iterations = 0
-        cost = np.zeros(self._total)
-        cost[: self.n] = self.c
-        try:
-            outcome = self._dual_repair(cost)
-            if outcome == OPTIMAL:
-                # Certify: bound changes kept dual feasibility, so this
-                # usually prices once and exits without pivoting.
-                outcome = self._optimize(cost)
-        except np.linalg.LinAlgError:
-            self._basis = None
-            return LPResult(
-                ITERATION_LIMIT, None, None, None, None, None, self._iterations
-            )
-        if outcome == OPTIMAL:
-            return self._result(OPTIMAL, cost=cost)
-        if outcome == INFEASIBLE:
-            return self._result(INFEASIBLE)
-        return self._result(outcome)
-
-    def _dual_repair(self, cost: np.ndarray) -> str:
-        """Bounded dual simplex: restore primal feasibility after bound
-        changes while preserving dual feasibility (reduced-cost signs)."""
-        self._factorize()
-        T = self._T
-        lower = self._lower
-        upper = self._upper
-        status = self._status
-        y = cost[self._basis] @ self._Binv
-        d = cost - y @ T
-
-        # Freed columns may sit on a dual-infeasible bound (they carried
-        # no sign condition while fixed): move them to the bound their
-        # reduced cost prefers.  Columns whose bounds did not change kept
-        # a valid status — d is unchanged by bound edits — and columns
-        # with l == u have no choice.
-        basic_mask = np.zeros(self._total, dtype=bool)
-        basic_mask[self._basis] = True
-        boxed = (~basic_mask) & (upper > lower)
-        flip_up = boxed & (status == _AT_LOWER) & (d < -_TOL) & np.isfinite(upper)
-        flip_down = boxed & (status == _AT_UPPER) & (d > _TOL)
-        status[flip_up] = _AT_UPPER
-        status[flip_down] = _AT_LOWER
-
-        if self._basis.size == 0:
-            return OPTIMAL  # no rows: primal feasibility is vacuous
-        basis_arr = self._basis
-        # Basic values are computed once (after the bound flips above)
-        # and then maintained incrementally: each pivot applies the
-        # rank-1 update ``x_b -= step * w`` instead of re-solving
-        # ``Binv (b - N x_N)`` — the dual repair loop runs on whole
-        # rows, never per-element.  A periodic refactorization recomputes
-        # both x_b and d from scratch to wash out accumulated drift.
-        x_b = self._basic_values()
-        refactor_counter = 0
-        while True:
-            if self._iterations >= self.max_iterations:
-                return ITERATION_LIMIT
-            if refactor_counter >= 60:
-                self._factorize()
-                x_b = self._basic_values()
-                y = cost[basis_arr] @ self._Binv
-                d = cost - y @ T
-                refactor_counter = 0
-            viol_low = lower[basis_arr] - x_b
-            viol_up = x_b - upper[basis_arr]
-            viol = np.maximum(viol_low, viol_up)
-            r = int(viol.argmax())
-            if viol[r] <= _PRIMAL_FEAS_TOL:
-                return OPTIMAL  # primal feasible again
-            self._iterations += 1
-            refactor_counter += 1
-            below = viol_low[r] >= viol_up[r]
-            alpha = self._Binv[r] @ T  # tableau row of the leaving basic
-
-            # Entering eligibility: moving x_j off its bound must push
-            # the leaving basic toward the violated bound
-            # (d x_Br / d x_j = -alpha_j).
-            at_lower = boxed & (status == _AT_LOWER)
-            at_upper = boxed & (status == _AT_UPPER)
-            if below:
-                eligible = (at_lower & (alpha < -_TOL)) | (at_upper & (alpha > _TOL))
-            else:
-                eligible = (at_lower & (alpha > _TOL)) | (at_upper & (alpha < -_TOL))
-            candidates = np.nonzero(eligible)[0]
-            if candidates.size == 0:
-                return INFEASIBLE  # dual unbounded: no feasible repair
-            ratios = np.abs(d[candidates]) / np.abs(alpha[candidates])
-            best = ratios.min()
-            ties = candidates[np.nonzero(ratios <= best + 1e-9)[0]]
-            entering = int(ties[np.abs(alpha[ties]).argmax()])
-
-            leaving = int(self._basis[r])
-            target = lower[basis_arr[r]] if below else upper[basis_arr[r]]
-            step = -(target - x_b[r]) / alpha[entering]  # signed move of entering
-            w = self._Binv @ T[:, entering]
-            entering_value = (
-                lower[entering] if status[entering] == _AT_LOWER else upper[entering]
-            ) + step
-
-            status[leaving] = _AT_LOWER if below else _AT_UPPER
-            self._basis[r] = entering
-            status[entering] = _BASIC
-            # Dual update keeps reduced-cost signs consistent without a
-            # full re-price; the primal values get the matching rank-1
-            # update (w[r] == alpha[entering], so row r lands exactly on
-            # the violated bound before the entering value overwrites it).
-            d -= (d[entering] / alpha[entering]) * alpha
-            d[entering] = 0.0
-            x_b -= step * w
-            # entering_value may overshoot its own box; the next loop
-            # round treats it as the new violation to repair.
-            x_b[r] = entering_value
-            self._eta_update(r, w)
-            self.batch_pivots += 1
-            basic_mask[leaving] = False
-            basic_mask[entering] = True
-            boxed = (~basic_mask) & (upper > lower)
+        return self._result(OPTIMAL)
 
     # ------------------------------------------------------------------
     def _factorize(self) -> None:
@@ -438,7 +248,7 @@ class SimplexSolver:
             self._Binv = np.linalg.pinv(B)
 
     def _nonbasic_values(self) -> np.ndarray:
-        values = np.where(self._status == _AT_UPPER, self._upper, self._lower)
+        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
         values[self._basis] = 0.0
         return values
 
@@ -447,7 +257,7 @@ class SimplexSolver:
         return self._Binv @ rhs
 
     def _objective_value(self, cost: np.ndarray) -> float:
-        values = np.where(self._status == _AT_UPPER, self._upper, self._lower)
+        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
         values[self._basis] = self._basic_values()
         return float(cost @ values)
 
@@ -485,14 +295,13 @@ class SimplexSolver:
             w = self._Binv @ self._T[:, entering]
 
             # Bounded ratio test (vectorized).
-            t_max = self._upper[entering] - self._lower[entering]  # bound flip
+            t_max = self._upper[entering]  # bound flip
             leaving = -1
             leaving_to_upper = False
             step = direction * w
             basis_arr = self._basis
             with np.errstate(divide="ignore", invalid="ignore"):
-                floors = self._lower[basis_arr]
-                down = np.where(step > _TOL, (x_b - floors) / step, np.inf)
+                down = np.where(step > _TOL, x_b / step, np.inf)
                 caps = self._upper[basis_arr]
                 up = np.where(step < -_TOL, (caps - x_b) / (-step), np.inf)
             down_min = down.min() if down.size else math.inf
@@ -520,7 +329,7 @@ class SimplexSolver:
                 )
             else:
                 entering_value = (
-                    self._lower[entering]
+                    0.0
                     if self._status[entering] == _AT_LOWER
                     else self._upper[entering]
                 ) + direction * t_max
@@ -549,7 +358,7 @@ class SimplexSolver:
                     use_bland = True
 
     def _pick_entering(self, reduced: np.ndarray, use_bland: bool) -> Optional[int]:
-        movable = self._upper > self._lower
+        movable = self._upper > 0
         at_lower = (self._status == _AT_LOWER) & movable
         at_upper = (self._status == _AT_UPPER) & movable
         score = np.where(at_lower, -reduced, 0.0)
@@ -572,16 +381,16 @@ class SimplexSolver:
         self._Binv -= np.outer(factors, self._Binv[row, :])
 
     # ------------------------------------------------------------------
-    def _result(self, status: str, cost: Optional[np.ndarray] = None) -> LPResult:
+    def _result(self, status: str) -> LPResult:
         if status != OPTIMAL:
             return LPResult(status, None, None, None, None, None, self._iterations)
-        values = np.where(self._status == _AT_UPPER, self._upper, self._lower)
+        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
         values[self._basis] = self._basic_values()
         x = values[: self.n].copy()
         # Numerical clean-up: clamp into the box.
         finite = np.isfinite(self.upper)
         x[finite] = np.minimum(x[finite], self.upper[finite])
-        x = np.maximum(x, self.lower)
+        x = np.maximum(x, 0.0)
         objective = float(self.c @ x)
         activities = self.A @ x
         slacks = np.zeros(self.m)
@@ -605,7 +414,6 @@ def solve_lp(
     senses: Sequence[str],
     upper: Optional[Sequence[float]] = None,
     max_iterations: int = 20000,
-    lower: Optional[Sequence[float]] = None,
 ) -> LPResult:
     """One-shot convenience wrapper around :class:`SimplexSolver`."""
-    return SimplexSolver(c, A, b, senses, upper, max_iterations, lower=lower).solve()
+    return SimplexSolver(c, A, b, senses, upper, max_iterations).solve()

@@ -91,7 +91,7 @@ class TestSolutionCallback:
 
         instance = covering_instance()
         options = SolverOptions(
-            lower_bound="plain", on_new_solution=record
+            lower_bound="plain", on_incumbent=record
         )
         result = BsoloSolver(instance, options).solve()
         assert result.status == OPTIMAL
@@ -109,6 +109,6 @@ class TestSolutionCallback:
             [Constraint.clause([1])], Objective({1: 2}, offset=10)
         )
         seen = []
-        options = SolverOptions(on_new_solution=lambda c, a: seen.append(c))
+        options = SolverOptions(on_incumbent=lambda c, a: seen.append(c))
         BsoloSolver(instance, options).solve()
         assert seen == [12]

@@ -1,10 +1,10 @@
 """Differential tests: incremental bounders vs their cold references.
 
-The incremental machinery (trail-delta MIS cache, warm-started simplex)
-must be *invisible*: at every node of any walk the incremental bounder
+The incremental machinery (the trail-delta MIS cache) must be
+*invisible*: at every node of any walk the incremental bounder
 returns the same ``(value, infeasible)`` as a cold bounder handed the
 same partial assignment.  These tests replay seeded decision walks on a
-real propagation engine and compare the pairs in lockstep, then check
+real propagation engine and compare the pair in lockstep, then check
 the solver end-to-end under every incremental/cold configuration.
 """
 
@@ -16,7 +16,6 @@ from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
 from repro.engine.interface import Conflict, make_engine
 from repro.experiments.lbbench import bench_drive, drive_walk
-from repro.lp import LPRelaxationBound
 from repro.mis import MISBound
 from repro.pb import Constraint, Objective, PBInstance
 
@@ -111,39 +110,6 @@ class TestMISLockstep:
             assert (a.value, a.infeasible) == (b.value, b.infeasible)
 
 
-class TestLPRLockstep:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_warm_equals_cold(self, seed):
-        instance = random_instance(seed, num_variables=10)
-        warm = LPRelaxationBound(instance)
-        cold = LPRelaxationBound(instance, warm=False)
-        attached = False
-        for trail, fixed in walk_nodes(instance, seed + 900, max_nodes=30):
-            if not attached:
-                warm.attach_trail(trail)
-                attached = True
-            a = warm.compute(fixed)
-            b = cold.compute(fixed)
-            assert (a.value, a.infeasible) == (b.value, b.infeasible)
-
-    def test_warm_path_actually_used(self):
-        instance = random_instance(3, num_variables=10)
-        warm = LPRelaxationBound(instance)
-        for _, fixed in walk_nodes(instance, 42, max_nodes=25):
-            warm.compute(fixed)
-        assert warm.warm_calls > 0
-
-    def test_extras_rebuild(self):
-        instance = random_instance(7, num_variables=8)
-        warm = LPRelaxationBound(instance)
-        cold = LPRelaxationBound(instance, warm=False)
-        cut = Constraint.clause([1, 2])
-        for extras in ([], [cut], []):
-            a = warm.compute({}, extras)
-            b = cold.compute({}, extras)
-            assert (a.value, a.infeasible) == (b.value, b.infeasible)
-
-
 class TestBenchDriveLockstep:
     """The benchmark's own lockstep flags must hold (the CI smoke job
     asserts them from the generated report)."""
@@ -152,7 +118,6 @@ class TestBenchDriveLockstep:
         instance = random_instance(11)
         outcome = drive_walk(instance, seed=1, max_nodes=40)
         assert outcome["mis_equal"]
-        assert outcome["lpr_equal"]
 
     def test_bench_drive_aggregates(self):
         instances = [random_instance(s) for s in (21, 22)]
@@ -178,12 +143,3 @@ class TestSolverEquivalence:
         assert results[True].status == results[False].status
         if results[True].status == "optimal":
             assert results[True].best_cost == results[False].best_cost
-
-    def test_warm_stats_surface_in_lb_stats(self):
-        instance = random_instance(5)
-        options = SolverOptions(lower_bound="lpr", max_conflicts=2000)
-        solver = BsoloSolver(instance, options)
-        solver.solve()
-        lpr = solver.stats.lb_stats.get("lpr")
-        if lpr is not None:  # constant objectives have no bounder
-            assert lpr["calls"] == lpr["warm_calls"] + lpr["cold_calls"]

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.api import solve
+from repro.benchgen.random_pb import generate_planted
+from repro.core import OPTIMAL, verify_result
 from repro.lp import (
     LPRelaxationBound,
     build_lp_data,
@@ -178,3 +181,15 @@ class TestBoundSoundness:
             return
         assert not bound.infeasible
         assert bound.value <= best
+
+
+class TestDeadline:
+    def test_planted_instance_solves_well_inside_the_deadline(self):
+        # 300 variables and 600 rows: large enough that a per-node LP
+        # costing O(m * (n + 2m)) per pivot exhausts the 5 s budget.
+        instance, _ = generate_planted(
+            num_variables=300, num_constraints=600, seed=300
+        )
+        result = solve(instance, "bsolo-lpr", timeout=5)
+        assert result.status == OPTIMAL
+        assert verify_result(instance, result)

@@ -13,9 +13,8 @@ scale-invariant (always compared)
     regression, at any scale.
 
 relative metrics (same-config only)
-    ``speedup_*`` ratios and ``simplex_iteration_reduction`` — compared
-    with ``--tolerance`` percent allowed degradation.  This prefix
-    covers both the per-call counters (``speedup_mis_calls_per_sec``)
+    ``speedup_*`` ratios — compared with ``--tolerance`` percent
+    allowed degradation.  This prefix covers both the per-call counters (``speedup_mis_calls_per_sec``)
     and the end-to-end wall-clock keys (``speedup_<backend>_wall`` from
     propbench solve mode, ``speedup_<config>_wall`` from lbbench solve
     mode).  Skipped when the configs differ: a speedup measured on tiny
@@ -52,9 +51,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Leaf keys treated as absolute throughput rates (machine-dependent).
 RATE_KEYS = ("props_per_sec", "conflicts_per_sec", "calls_per_sec")
-
-#: Leaf keys treated as relative (dimensionless) quality metrics.
-RELATIVE_KEYS = ("simplex_iteration_reduction",)
 
 
 def _flatten(
@@ -124,7 +120,7 @@ def compare_reports(
             continue
         if cand_value is None:
             continue
-        if name.startswith("speedup_") or name in RELATIVE_KEYS:
+        if name.startswith("speedup_"):
             if not isinstance(base_value, (int, float)) or not base_value:
                 continue
             floor = base_value * (1.0 - tolerance / 100.0)
