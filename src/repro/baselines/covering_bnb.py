@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set
 
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -58,13 +58,12 @@ class CoveringBnBSolver:
         instance: PBInstance,
         options: Optional[SolverOptions] = None,
         *,
-        time_limit: Optional[float] = None,
         max_nodes: Optional[int] = None,
     ):
         if not instance.is_covering:
             raise ValueError("CoveringBnBSolver requires a clause-only instance")
         self._instance = instance
-        self._options = merge_solver_options(options, time_limit=time_limit)
+        self._options = options if options is not None else SolverOptions()
         opts = self._options
         self._time_limit = opts.time_limit
         self._max_nodes = (

@@ -22,7 +22,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.cuts import CutGenerator
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -53,15 +53,9 @@ class CuttingPlanesSolver:
     name = "galena-like"
 
     def __init__(self, instance: PBInstance,
-                 options: Optional[SolverOptions] = None, *,
-                 time_limit: Optional[float] = None,
-                 max_conflicts: Optional[int] = None, tracer=None,
-                 profile: bool = False):
+                 options: Optional[SolverOptions] = None):
         self._instance = instance
-        self._options = merge_solver_options(
-            options, time_limit=time_limit, max_conflicts=max_conflicts,
-            tracer=tracer, profile=profile,
-        )
+        self._options = options if options is not None else SolverOptions()
         opts = self._options
         self._time_limit = opts.time_limit
         self._max_conflicts = opts.max_conflicts

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.options import SolverOptions, merge_solver_options
+from ..core.options import SolverOptions
 from ..core.result import (
     OPTIMAL,
     SATISFIABLE,
@@ -48,11 +48,10 @@ class MILPSolver:
         instance: PBInstance,
         options: Optional[SolverOptions] = None,
         *,
-        time_limit: Optional[float] = None,
         max_nodes: Optional[int] = None,
     ):
         self._instance = instance
-        self._options = merge_solver_options(options, time_limit=time_limit)
+        self._options = options if options is not None else SolverOptions()
         opts = self._options
         self._time_limit = opts.time_limit
         self._max_nodes = (

@@ -147,7 +147,6 @@ class SolverOptions:
         self.pb_learning = pb_learning
         #: Propagation backend name (``repro.engine.available_engines()``):
         #: ``"counter"`` for eager slack counters (the reference engine),
-        #: ``"watched"`` for watched-literal/watched-sum propagation,
         #: ``"array"`` for the vectorized CSR/numpy engine.
         #: Validated lazily by ``make_engine`` so third-party backends
         #: registered after option construction still work.
@@ -300,22 +299,3 @@ class SolverOptions:
     def __repr__(self) -> str:
         return "SolverOptions(lower_bound=%r)" % self.lower_bound
 
-
-def merge_solver_options(options: Optional[SolverOptions], **legacy) -> SolverOptions:
-    """Combine an optional :class:`SolverOptions` with legacy per-solver
-    keyword overrides (``time_limit=...`` etc.); explicitly passed
-    (non-None, non-False) legacy values win over the options object.
-
-    The baseline solvers accept both styles — the uniform
-    ``(instance, options)`` constructor of the registry and their
-    original keyword arguments — and funnel both through this helper.
-    """
-    base = options if options is not None else SolverOptions()
-    effective = {
-        key: value
-        for key, value in legacy.items()
-        if value is not None and value is not False
-    }
-    if not effective:
-        return base
-    return base.replace(**effective)

@@ -17,15 +17,7 @@ from .conflict import (
     analyze,
     highest_level,
 )
-from .constraint_db import (
-    KIND_CARDINALITY,
-    KIND_CLAUSE,
-    KIND_GENERAL,
-    ConstraintDatabase,
-    StoredConstraint,
-    WatchedConstraintDatabase,
-    classify,
-)
+from .constraint_db import ConstraintDatabase, StoredConstraint
 from .interface import (
     Conflict,
     PropagationEngine,
@@ -37,7 +29,6 @@ from .interface import (
 )
 from .propagation import Propagator
 from .restarts import RestartScheduler, luby
-from .watched import WatchedPropagator
 
 __all__ = [
     "AnalysisResult",
@@ -47,9 +38,6 @@ __all__ = [
     "Conflict",
     "ConflictAnalyzer",
     "ConstraintDatabase",
-    "KIND_CARDINALITY",
-    "KIND_CLAUSE",
-    "KIND_GENERAL",
     "PropagationEngine",
     "Propagator",
     "Reason",
@@ -60,11 +48,8 @@ __all__ = [
     "UNASSIGNED",
     "UnknownEngineError",
     "VSIDSActivity",
-    "WatchedConstraintDatabase",
-    "WatchedPropagator",
     "analyze",
     "available_engines",
-    "classify",
     "engine_descriptions",
     "highest_level",
     "luby",

@@ -8,11 +8,11 @@ backends ship with the repository:
 ``counter``
     The reference engine (:class:`~repro.engine.propagation.Propagator`):
     eager per-assignment slack counters over occurrence lists.
-``watched``
-    The lazy engine (:class:`~repro.engine.watched.WatchedPropagator`):
-    two watched literals per clause, ``b+1`` watchers per cardinality
-    constraint, and a watched coefficient sum with slack for general PB
-    constraints.
+``array``
+    The vectorized engine (:class:`~repro.engine.array_engine.ArrayPropagator`):
+    the same eager slack rule over CSR numpy arrays
+    (:class:`~repro.engine.array_store.ArrayConstraintStore`), with
+    batched implication scans.
 
 Third-party engines plug in through :func:`register_engine` and are then
 selectable everywhere a backend name is accepted
@@ -42,8 +42,8 @@ Every backend must guarantee, for any interleaving of the calls below:
 * ``backtrack(level)`` undoes every assignment above ``level`` and
   restores all internal bookkeeping; a subsequent ``propagate`` is a
   no-op unless constraints were added in between.
-* ``reduce_learned`` must purge every internal reference (watcher lists,
-  pending queues) to deleted constraints: no deleted
+* ``reduce_learned`` must purge every internal reference (occurrence
+  lists, pending queues) to deleted constraints: no deleted
   :class:`~repro.engine.constraint_db.StoredConstraint` may ever be
   returned inside a later :class:`Conflict` or re-propagated.
 """

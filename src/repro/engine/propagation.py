@@ -18,10 +18,6 @@ first) subset of the constraint's false literals strong enough to force
 the implication — this keeps conflict analysis purely clausal, the
 strategy of the bsolo family of solvers.
 
-The eager per-assignment work — O(occurrences) slack updates on every
-assignment and undo — is what the ``"watched"`` backend
-(:mod:`repro.engine.watched`) eliminates.
-
 **Proof-logging contract** (``SolverOptions(proof=...)``): the
 slack-based implication rule above is exactly the propagation strength
 the independent checker's RUP replay assumes

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     propbench = sub.add_parser(
         "propbench",
-        help="race the propagation backends (counter vs watched)",
+        help="race the propagation backends (counter vs array)",
     )
     propbench.add_argument(
         "--families", nargs="+", default=list(PROPBENCH_FAMILIES),

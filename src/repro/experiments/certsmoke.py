@@ -21,7 +21,6 @@ from .table1 import family_instances
 #: engine, both schedulers, and the cold-bounder path all emit proofs.
 CONFIGS: Tuple[Tuple[str, str, bool], ...] = (
     ("counter", "static", True),
-    ("watched", "static", True),
     ("array", "static", True),
     ("counter", "adaptive", True),
     ("counter", "static", False),

@@ -1,4 +1,4 @@
-"""Propagation microbenchmark: counter vs watched backends.
+"""Propagation microbenchmark: counter vs array backends.
 
 Two complementary measurements per (family, backend):
 
@@ -43,7 +43,7 @@ from ..pb.instance import PBInstance
 FAMILIES = ("ptl", "grout", "random")
 
 #: Backends raced by default.
-BACKENDS = ("counter", "watched", "array")
+BACKENDS = ("counter", "array")
 
 
 def family_instances(

@@ -58,19 +58,18 @@ class WorkerSpec:
 
 
 #: The diversification ladder: each rung is (solver, option overrides).
-#: The propagation backend is a diversification axis too: watched-literal
-#: rungs race the counter rungs, so whichever engine fits the instance's
-#: constraint mix (clause-heavy vs dense PB) reaches the optimum first.
+#: The propagation backend is a diversification axis too: array rungs
+#: race the counter rungs, so whichever engine fits the instance's
+#: constraint density reaches the optimum first.
 _DEFAULT_LADDER = (
     ("bsolo-lpr", {}),
-    ("bsolo-mis", {"restarts": True, "phase_saving": True,
-                   "propagation": "watched"}),
-    ("linear-search", {"propagation": "watched"}),
+    ("bsolo-mis", {"restarts": True, "phase_saving": True}),
+    ("linear-search", {}),
     ("bsolo-lgr", {"lb_schedule": "adaptive"}),
     ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive",
                       "propagation": "array"}),
     ("cutting-planes", {}),
-    ("bsolo-plain", {"restarts": True, "propagation": "watched"}),
+    ("bsolo-plain", {"restarts": True}),
     ("bsolo-lpr", {"propagation": "array", "restarts": True}),
     ("milp", {}),
 )

@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..api import canonical_name as resolve_solver
 from ..core.options import SolverOptions
+from ..engine import available_engines
 from ..pb.instance import InfeasibleConstraintError, PBInstance
 from ..pb.opb import OPBError, parse
 
@@ -181,9 +182,17 @@ class SubmitRequest:
                 ),
             )
         try:
-            SolverOptions(**raw_options)
+            options = SolverOptions(**raw_options)
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_request", "invalid options: %s" % exc)
+        # SolverOptions defers the engine check to make_engine, which
+        # would only fail later inside a worker.
+        if options.propagation not in available_engines():
+            raise ProtocolError(
+                "bad_request",
+                "unknown propagation engine %r (choose from %s)"
+                % (options.propagation, ", ".join(available_engines())),
+            )
 
         timeout = data.get("timeout")
         if timeout is not None:

@@ -199,7 +199,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "options",
         [
-            {"propagation": "watched"},
+            {"propagation": "array"},
             {"lb_schedule": "adaptive"},
             {"incremental_bounds": False},
             {"lower_bound": "mis"},

@@ -1,7 +1,7 @@
 """Differential harness: every propagation backend must agree.
 
-The counter engine is the reference; watched and array are checked
-against it (and each other) with three layers of evidence:
+The counter engine is the reference; the array engine is checked
+against it with three layers of evidence:
 
 * a randomized lockstep fuzz driving all engines through the same
   decide/propagate/backtrack script and comparing implied sets,
@@ -30,7 +30,7 @@ from repro.experiments.propbench import (
 )
 from repro.pb.constraints import Constraint
 
-BACKENDS = ("counter", "watched", "array")
+BACKENDS = ("counter", "array")
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from repro import api
 from repro.core.options import SolverOptions
+from repro.engine import available_engines
 from repro.pb.opb import parse
 from repro.service import (
     BackgroundServer,
@@ -80,6 +81,8 @@ class TestProtocolUnit:
             ({"instance": EASY, "bogus": 1}, "bad_request"),
             ({"instance": EASY, "solver": "no-such"}, "unknown_solver"),
             ({"instance": EASY, "options": {"profile": True}}, "bad_request"),
+            ({"instance": EASY, "options": {"propagation": "nosuch"}},
+             "bad_request"),
             ({"instance": EASY, "timeout": -1}, "bad_request"),
             ({"instance": EASY, "proof": "yes"}, "bad_request"),
             (
@@ -274,6 +277,13 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as err:
             client.submit("this is not opb")
         assert err.value.code == "bad_request" and err.value.status == 400
+
+    def test_unknown_engine_400(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit(EASY, options={"propagation": "watched"})
+        assert err.value.code == "bad_request" and err.value.status == 400
+        for name in available_engines():
+            assert name in str(err.value)
 
     def test_unknown_route_404_and_wrong_method_405(self, client):
         status, body = client._request("GET", "/nope")
