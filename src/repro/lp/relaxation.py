@@ -21,6 +21,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .simplex import INFEASIBLE, OPTIMAL, SimplexSolver
@@ -152,7 +154,7 @@ class LPRelaxationBound:
             return LowerBound(0)
         solver = SimplexSolver(
             data.c, data.A, data.b, data.senses,
-            upper=[1.0] * data.num_columns,
+            upper=np.ones(data.num_columns),
             max_iterations=self._max_iterations,
         )
         result = solver.solve()
@@ -164,16 +166,10 @@ class LPRelaxationBound:
             # Iteration limit: fall back to the trivial bound 0 (sound).
             return LowerBound(0, iterations=result.iterations)
         value = integer_ceil_bound(result.objective)
-        tight = result.tight_rows(self._tight_tol)
-        explanation = [data.rows[i] for i in tight]
-        duals_by_row = {
-            data.rows[i]: float(result.duals[i])
-            for i in range(data.num_rows)
-            if i < len(result.duals)
-        }
-        fractional = {
-            data.columns[j]: float(result.x[j]) for j in range(data.num_columns)
-        }
+        rows = data.rows
+        explanation = [rows[i] for i in result.tight_rows(self._tight_tol)]
+        duals_by_row = dict(zip(rows, result.duals.tolist()))
+        fractional = dict(zip(data.columns, result.x.tolist()))
         return LowerBound(
             value,
             explanation=explanation,

@@ -17,9 +17,16 @@ Implementation notes
   bounded ratio test then keeps them at zero and kicks them out of the
   basis on contact, which sidesteps the classical drive-out procedure.
 * The basis inverse is maintained explicitly with product-form (eta)
-  updates and refactorized periodically for numerical hygiene.
+  updates.  Every starting basic column is a +-1 slack or artificial
+  unit column, so the start inverse is that diagonal, written directly.
+  The inverse is refactorized from scratch only at the start of phase 2
+  when phase 1 pivoted, and every 60 iterations of a phase for
+  numerical hygiene.
 * Dantzig pricing with an automatic switch to Bland's rule after a stall,
-  which guarantees termination on degenerate instances.
+  which guarantees termination on degenerate instances.  Pricing reads
+  one entering sign per column (-1 nonbasic at lower and free to rise,
+  +1 at upper and free to fall, 0 basic or fixed), updated in place on
+  each pivot or bound flip along with the basic columns' caps.
 * Pivots are *batched array kernels*: the basis lives in an int array,
   reduced costs and basic values are maintained incrementally by rank-1
   row updates after each pivot (one ``Binv`` row times the tableau)
@@ -27,6 +34,10 @@ Implementation notes
   are recomputed from scratch at every periodic refactorization so
   incremental drift cannot outlive a refactor interval (the
   ``lp_batch_pivots`` observability counter tracks these cheap pivots).
+* The node LPs of the LP bound are tiny (around 10 x 10), so a pivot's
+  cost is the number of numpy calls it makes, not their arithmetic: the
+  setup, ratio test and result mapping are whole-array operations with
+  no per-row Python loop.
 
 The solver reports primal values, row activities/slacks (used for the
 paper's eq. 9 bound-conflict explanations) and duals (used to warm-start
@@ -54,12 +65,10 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
 _TOL = 1e-9
-_PRIMAL_FEAS_TOL = 1e-7  # basic-value bound violation treated as zero
 _STALL_LIMIT = 200  # Dantzig iterations without progress before Bland
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
+#: Sense -> sign of the row slack ``A_i x - b_i`` (``=`` rows have none).
+_SENSE_SIGN = {GE: 1.0, LE: -1.0, EQ: 0.0}
 
 
 class LPResult:
@@ -91,7 +100,7 @@ class LPResult:
         """
         if self.slacks is None:
             return []
-        return [i for i, s in enumerate(self.slacks) if s <= tol]
+        return np.flatnonzero(self.slacks <= tol).tolist()
 
     def __repr__(self) -> str:
         return "LPResult(%s, objective=%r)" % (self.status, self.objective)
@@ -110,18 +119,19 @@ class SimplexSolver:
         max_iterations: int = 20000,
     ):
         self.c = np.asarray(c, dtype=float)
-        self.A = np.asarray(A, dtype=float)
-        if self.A.ndim != 2:
-            self.A = self.A.reshape((len(b), -1))
         self.b = np.asarray(b, dtype=float)
-        self.senses = list(senses)
         self.n = self.c.shape[0]
         self.m = self.b.shape[0]
+        self.A = np.asarray(A, dtype=float)
+        if self.A.ndim != 2:
+            self.A = self.A.reshape((self.m, self.n))  # e.g. [] for no rows
         if self.A.shape != (self.m, self.n):
             raise ValueError("A must be %dx%d, got %r" % (self.m, self.n, self.A.shape))
+        self.senses = list(senses)
         for sense in self.senses:
-            if sense not in (GE, LE, EQ):
+            if sense not in _SENSE_SIGN:
                 raise ValueError("unknown sense %r" % sense)
+        self._sense_sign = np.array([_SENSE_SIGN[sense] for sense in self.senses])
         if upper is None:
             upper = [math.inf] * self.n
         self.upper = np.asarray(upper, dtype=float)
@@ -155,86 +165,62 @@ class SimplexSolver:
 
     def _solve(self) -> LPResult:
         n, m = self.n, self.m
+        rows = np.arange(m)
+        sense_sign = self._sense_sign
         # Build the extended tableau: structural | slack/surplus | artificial.
-        num_slack = sum(1 for s in self.senses if s != EQ)
-        total = n + num_slack + m
+        has_slack = sense_sign != 0.0
+        slack_col = n - 1 + np.cumsum(has_slack)
+        art_start = n + int(has_slack.sum())
+        total = art_start + m
         T = np.zeros((m, total))
         T[:, :n] = self.A
+        T[rows[has_slack], slack_col[has_slack]] = -sense_sign[has_slack]
         upper = np.full(total, math.inf)
         upper[:n] = self.upper
-        col = n
-        self._slack_col = [-1] * m
-        for i, sense in enumerate(self.senses):
-            if sense == GE:
-                T[i, col] = -1.0  # surplus
-                self._slack_col[i] = col
-                col += 1
-            elif sense == LE:
-                T[i, col] = 1.0  # slack
-                self._slack_col[i] = col
-                col += 1
-        art_start = col
-        status = np.full(total, _AT_LOWER, dtype=int)
 
         # Crash start: put each bounded structural variable at whichever
         # bound reduces the total >=-row residual (for covering-style LPs
         # this alone reaches feasibility and phase 1 becomes a no-op).
-        sense_sign = np.array(
-            [1.0 if s == GE else (-1.0 if s == LE else 0.0) for s in self.senses]
-        )
-        score = sense_sign @ self.A
-        for j in range(n):
-            if score[j] > 0 and math.isfinite(self.upper[j]) and self.upper[j] > 0:
-                status[j] = _AT_UPPER
+        at_upper = (sense_sign @ self.A > 0) & (self.upper > 0) & (self.upper < math.inf)
+        residual = self.b - self.A @ np.where(at_upper, self.upper, 0.0)
+        # A row starts on its slack when that slack absorbs the residual,
+        # otherwise on its artificial, signed to match (unused artificials
+        # still get a unit column, keeping the tableau square).
+        slack_feasible = has_slack & (sense_sign * residual <= 0.0)
+        T[rows, art_start + rows] = np.where(slack_feasible | (residual >= 0), 1.0, -1.0)
+        basis = np.where(slack_feasible, slack_col, art_start + rows)
 
-        start_x = np.where(status[:n] == _AT_UPPER, self.upper, 0.0)
-        residual = self.b - self.A @ start_x
-        basis: List[int] = []
-        needs_artificial = False
-        for i, sense in enumerate(self.senses):
-            slack_col = self._slack_col[i]
-            slack_feasible = (
-                (sense == GE and residual[i] <= 0.0)
-                or (sense == LE and residual[i] >= 0.0)
-            )
-            if slack_feasible:
-                basis.append(slack_col)
-                status[slack_col] = _BASIC
-                T[i, art_start + i] = 1.0  # unused artificial, kept square
-            else:
-                T[i, art_start + i] = 1.0 if residual[i] >= 0 else -1.0
-                basis.append(art_start + i)
-                status[art_start + i] = _BASIC
-                needs_artificial = True
+        # Entering sign per column: -1 nonbasic at lower and free to rise,
+        # +1 nonbasic at upper and free to fall, 0 basic or fixed.
+        sign = np.where(upper > 0, -1.0, 0.0)
+        sign[:n][at_upper] = 1.0
+        sign[basis] = 0.0
 
         self._T = T
         self._upper = upper
-        self._status = status
-        # int array: pivots index/assign it without list<->array copies
-        self._basis = np.asarray(basis, dtype=np.intp)
-        self._total = total
+        self._sign = sign
+        self._basis = basis
+        # Every starting basic column is a +-1 unit column.
+        self._Binv = np.diag(1.0 / T[rows, basis])
         self._iterations = 0
 
-        if needs_artificial:
+        if not slack_feasible.all():
             # Phase 1: minimize the artificial sum.
             phase1_cost = np.zeros(total)
             phase1_cost[art_start:] = 1.0
             outcome = self._optimize(phase1_cost)
             if outcome == ITERATION_LIMIT:
                 return self._result(ITERATION_LIMIT)
-            phase1_value = self._objective_value(phase1_cost)
-            if phase1_value > FEAS_TOL:
+            if float(phase1_cost @ self._values()) > FEAS_TOL:
                 return self._result(INFEASIBLE)
+            if self.batch_pivots:
+                self._factorize()  # drop the phase 1 eta updates
         # Phase 2: lock artificials into [0, 0] and minimize the real cost.
-        self._upper[art_start:] = 0.0
+        upper[art_start:] = 0.0
+        sign[art_start:] = 0.0
         phase2_cost = np.zeros(total)
-        phase2_cost[: self.n] = self.c
-        outcome = self._optimize(phase2_cost)
-        if outcome == UNBOUNDED:
-            return self._result(UNBOUNDED)
-        if outcome == ITERATION_LIMIT:
-            return self._result(ITERATION_LIMIT)
-        return self._result(OPTIMAL)
+        phase2_cost[:n] = self.c
+        return self._result(self._optimize(phase2_cost), phase2_cost)
 
     # ------------------------------------------------------------------
     def _factorize(self) -> None:
@@ -247,30 +233,24 @@ class SimplexSolver:
             # the iteration limit bounds the damage.
             self._Binv = np.linalg.pinv(B)
 
-    def _nonbasic_values(self) -> np.ndarray:
-        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
-        values[self._basis] = 0.0
+    def _values(self) -> np.ndarray:
+        """Every column's value: nonbasic ones at their bound, basic ones
+        solved through the current inverse."""
+        values = np.where(self._sign > 0, self._upper, 0.0)
+        values[self._basis] = self._Binv @ (self.b - self._T @ values)
         return values
 
-    def _basic_values(self) -> np.ndarray:
-        rhs = self.b - self._T @ self._nonbasic_values()
-        return self._Binv @ rhs
-
-    def _objective_value(self, cost: np.ndarray) -> float:
-        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
-        values[self._basis] = self._basic_values()
-        return float(cost @ values)
-
     def _optimize(self, cost: np.ndarray) -> str:
-        self._factorize()
-        x_b = self._basic_values()
+        T, upper, sign, basis, m = self._T, self._upper, self._sign, self._basis, self.m
         # Full price once; every pivot below patches `reduced` with a
         # rank-1 row update (pivot row of the updated inverse times the
         # tableau) — the classic ``d -= d_j * alpha_r`` identity — so the
         # per-iteration ``c_B B^-1 T`` matmul disappears.  Refactor
         # points recompute from scratch, bounding numerical drift.
-        y = cost[self._basis] @ self._Binv
-        reduced = cost - y @ self._T
+        x_b = self._values()[basis]
+        reduced = cost - (cost[basis] @ self._Binv) @ T
+        caps = upper[basis]
+        no_limit = np.full(m, math.inf)
         stall = 0
         use_bland = False
         refactor_counter = 0
@@ -281,69 +261,67 @@ class SimplexSolver:
             refactor_counter += 1
             if refactor_counter >= 60:
                 self._factorize()
-                x_b = self._basic_values()
-                y = cost[self._basis] @ self._Binv
-                reduced = cost - y @ self._T
+                x_b = self._values()[basis]
+                reduced = cost - (cost[basis] @ self._Binv) @ T
                 refactor_counter = 0
 
-            entering = self._pick_entering(reduced, use_bland)
-            if entering is None:
-                return OPTIMAL
+            score = sign * reduced
+            if use_bland:
+                eligible = np.flatnonzero(score > _TOL)
+                if not eligible.size:
+                    return OPTIMAL
+                entering = int(eligible[0])
+            else:
+                entering = int(score.argmax())
+                if not score[entering] > _TOL:
+                    return OPTIMAL
 
-            direction = 1.0 if self._status[entering] == _AT_LOWER else -1.0
+            from_lower = sign[entering] < 0
+            direction = 1.0 if from_lower else -1.0
             entering_reduced = reduced[entering]  # pre-pivot, for the stall test
-            w = self._Binv @ self._T[:, entering]
+            w = self._Binv @ T[:, entering]
 
-            # Bounded ratio test (vectorized).
-            t_max = self._upper[entering]  # bound flip
-            leaving = -1
-            leaving_to_upper = False
+            # Bounded ratio test: a basic value falling to 0 (down) or
+            # rising to its cap (up), against the entering bound flip.
+            t_max = upper[entering]
             step = direction * w
-            basis_arr = self._basis
-            with np.errstate(divide="ignore", invalid="ignore"):
-                down = np.where(step > _TOL, x_b / step, np.inf)
-                caps = self._upper[basis_arr]
-                up = np.where(step < -_TOL, (caps - x_b) / (-step), np.inf)
-            down_min = down.min() if down.size else math.inf
-            up_min = up.min() if up.size else math.inf
+            down = no_limit.copy()
+            np.divide(x_b, step, out=down, where=step > _TOL)
+            up = no_limit.copy()
+            np.divide(caps - x_b, -step, out=up, where=step < -_TOL)
+            down_min = down.min() if m else math.inf
+            up_min = up.min() if m else math.inf
             if down_min < t_max - _TOL and down_min <= up_min:
-                # among (near-)ties pick the largest pivot for stability
-                ties = np.nonzero(down <= down_min + 1e-9)[0]
-                leaving = int(ties[np.abs(step[ties]).argmax()])
-                leaving_to_upper = False
-                t_max = down_min
+                ratios, t_max, leaving_to_upper = down, down_min, False
             elif up_min < t_max - _TOL:
-                ties = np.nonzero(up <= up_min + 1e-9)[0]
-                leaving = int(ties[np.abs(step[ties]).argmax()])
-                leaving_to_upper = True
-                t_max = up_min
+                ratios, t_max, leaving_to_upper = up, up_min, True
+            else:
+                ratios = None
             if math.isinf(t_max):
                 return UNBOUNDED
+            if ratios is not None:
+                # among (near-)ties pick the largest pivot for stability
+                ties = (ratios <= t_max + 1e-9).nonzero()[0]
+                leaving = int(ties[0] if ties.size == 1 else ties[np.abs(step[ties]).argmax()])
             t_max = max(t_max, 0.0)
+            x_b -= direction * t_max * w
 
-            if leaving < 0:
+            if ratios is None:
                 # Bound flip: entering jumps to its other bound.
-                x_b -= direction * t_max * w
-                self._status[entering] = (
-                    _AT_UPPER if self._status[entering] == _AT_LOWER else _AT_LOWER
-                )
+                sign[entering] = -sign[entering]
             else:
-                entering_value = (
-                    0.0
-                    if self._status[entering] == _AT_LOWER
-                    else self._upper[entering]
-                ) + direction * t_max
-                x_b -= direction * t_max * w
-                leaving_var = int(self._basis[leaving])
-                self._status[leaving_var] = _AT_UPPER if leaving_to_upper else _AT_LOWER
-                self._basis[leaving] = entering
-                self._status[entering] = _BASIC
+                entering_value = (0.0 if from_lower else upper[entering]) + direction * t_max
+                leaving_var = basis[leaving]
+                if upper[leaving_var] > 0:
+                    sign[leaving_var] = 1.0 if leaving_to_upper else -1.0
+                basis[leaving] = entering
+                sign[entering] = 0.0
+                caps[leaving] = upper[entering]
                 x_b[leaving] = entering_value
                 self._eta_update(leaving, w)
                 # Patch the reduced costs through the updated pivot row
                 # instead of re-pricing next iteration.
-                alpha_row = self._Binv[leaving] @ self._T
-                reduced = reduced - reduced[entering] * alpha_row
+                reduced -= reduced[entering] * (self._Binv[leaving] @ T)
                 reduced[entering] = 0.0
                 self.batch_pivots += 1
 
@@ -357,54 +335,29 @@ class SimplexSolver:
                 if stall > _STALL_LIMIT:
                     use_bland = True
 
-    def _pick_entering(self, reduced: np.ndarray, use_bland: bool) -> Optional[int]:
-        movable = self._upper > 0
-        at_lower = (self._status == _AT_LOWER) & movable
-        at_upper = (self._status == _AT_UPPER) & movable
-        score = np.where(at_lower, -reduced, 0.0)
-        score = np.where(at_upper, reduced, score)
-        if use_bland:
-            eligible = np.nonzero(score > _TOL)[0]
-            return int(eligible[0]) if eligible.size else None
-        j = int(score.argmax())
-        return j if score[j] > _TOL else None
-
     def _eta_update(self, row: int, w: np.ndarray) -> None:
         """Product-form update of the explicit inverse after a pivot."""
         pivot = w[row]
         if abs(pivot) < 1e-12:  # pragma: no cover - defensive
             self._factorize()
             return
-        self._Binv[row, :] /= pivot
+        pivot_row = self._Binv[row]
+        pivot_row /= pivot
         factors = w.copy()
         factors[row] = 0.0
-        self._Binv -= np.outer(factors, self._Binv[row, :])
+        self._Binv -= factors[:, None] * pivot_row
 
     # ------------------------------------------------------------------
-    def _result(self, status: str) -> LPResult:
+    def _result(self, status: str, cost: Optional[np.ndarray] = None) -> LPResult:
         if status != OPTIMAL:
             return LPResult(status, None, None, None, None, None, self._iterations)
-        values = np.where(self._status == _AT_UPPER, self._upper, 0.0)
-        values[self._basis] = self._basic_values()
-        x = values[: self.n].copy()
         # Numerical clean-up: clamp into the box.
-        finite = np.isfinite(self.upper)
-        x[finite] = np.minimum(x[finite], self.upper[finite])
-        x = np.maximum(x, 0.0)
+        x = np.maximum(np.minimum(self._values()[: self.n], self.upper), 0.0)
         objective = float(self.c @ x)
         activities = self.A @ x
-        slacks = np.zeros(self.m)
-        for i, sense in enumerate(self.senses):
-            if sense == GE:
-                slacks[i] = activities[i] - self.b[i]
-            elif sense == LE:
-                slacks[i] = self.b[i] - activities[i]
-        cost_full = np.zeros(self._total)
-        cost_full[: self.n] = self.c
-        duals = cost_full[self._basis] @ self._Binv
-        return LPResult(
-            OPTIMAL, objective, x, np.asarray(duals), activities, slacks, self._iterations
-        )
+        slacks = self._sense_sign * (activities - self.b)
+        duals = cost[self._basis] @ self._Binv
+        return LPResult(OPTIMAL, objective, x, duals, activities, slacks, self._iterations)
 
 
 def solve_lp(

@@ -105,3 +105,80 @@ class TestCutsFor:
                     assert cut.is_satisfied_by(assignment), (
                         "cut %r removed solution %r of cost %d" % (cut, assignment, cost)
                     )
+
+
+def reference_cuts(instance, upper):
+    """Eq. 10 and eq. 13 built term by term with ``Constraint.less_equal``."""
+    costs = instance.objective.costs
+    knapsack = None
+    if costs:
+        knapsack = Constraint.less_equal([(c, v) for v, c in costs.items()], upper - 1)
+        if knapsack.is_tautology:
+            knapsack = None
+    pairs = []
+    for source in instance.constraints:
+        if not source.is_cardinality or any(lit < 0 for lit in source.literals):
+            continue
+        threshold = source.cardinality_threshold
+        if threshold < 1:
+            continue
+        value_v = sum(sorted(costs.get(v, 0) for v in source.literals)[:threshold])
+        if value_v <= 0:
+            continue
+        budget = upper - 1 - value_v
+        if budget < 0:
+            return knapsack, pairs, source
+        outside = [(c, v) for v, c in costs.items() if v not in set(source.literals)]
+        cut = Constraint.less_equal(outside, budget)
+        if not cut.is_tautology:
+            pairs.append((cut, source))
+    return knapsack, pairs, None
+
+
+def property_instances():
+    import random
+
+    from repro.experiments.table1 import family_instances
+
+    instances = []
+    for family, scale in (("grout", 0.4), ("mcnc", 0.3), ("ptl", 0.3)):
+        instances.extend(family_instances(family, 2, scale)[0])
+    rng = random.Random(13)
+    for _ in range(6):
+        n = rng.randint(3, 8)
+        constraints = []
+        for _ in range(rng.randint(1, 5)):
+            members = rng.sample(range(1, n + 1), rng.randint(1, n))
+            constraints.append(Constraint.at_least(members, rng.randint(1, len(members))))
+        # a cardinality over every variable leaves nothing outside
+        constraints.append(Constraint.at_least(range(1, n + 1), 1))
+        costs = {v: rng.randint(0, 9) for v in range(1, n + 1)}
+        instances.append(PBInstance(constraints, Objective(costs)))
+    return instances
+
+
+class TestPresummedCutsMatchLessEqual:
+    def test_seeded_budgets(self):
+        import random
+
+        rng = random.Random(5)
+        checked = {"tautology": 0, "proven": 0, "empty_outside": 0, "cut": 0}
+        for instance in property_instances():
+            generator = CutGenerator(instance)
+            total = sum(instance.objective.costs.values())
+            uppers = set(range(-2, 12)) | set(range(total - 2, total + 3))
+            uppers |= {rng.randint(0, total) for _ in range(30)}
+            for upper in sorted(uppers):
+                knapsack, pairs, proven = reference_cuts(instance, upper)
+                assert generator.knapsack_cut(upper) == knapsack
+                got_pairs, got_proven = generator.cardinality_cuts_with_sources(upper)
+                assert got_pairs == pairs
+                assert got_proven is proven
+                checked["tautology"] += knapsack is None
+                checked["proven"] += proven is not None
+                checked["cut"] += len(pairs)
+            costed = set(instance.objective.costs)
+            checked["empty_outside"] += any(
+                costed <= set(c.literals) for c in instance.constraints
+            )
+        assert all(checked.values()), checked

@@ -96,6 +96,23 @@ class TestStatuses:
         assert result.status == "iteration_limit"
 
 
+class TestNoRows:
+    """An LP without rows: every column sits at its cheaper bound."""
+
+    @pytest.mark.parametrize("A", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_box_only(self, A):
+        result = solve_lp([1.0, -2.0], A, [], [], upper=[1.0, 1.0])
+        assert result.status == OPTIMAL
+        assert result.objective == -2.0
+        assert list(result.x) == [0.0, 1.0]
+        assert result.duals.shape == (0,) and result.tight_rows() == []
+
+    @pytest.mark.parametrize("A", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_negative_cost_without_upper_is_unbounded(self, A):
+        result = solve_lp([1.0, -2.0], A, [], [], upper=[1.0, math.inf])
+        assert result.status == UNBOUNDED
+
+
 class TestDiagnostics:
     def test_slacks_and_tight_rows(self):
         result = solve_lp(
