@@ -20,9 +20,9 @@ from ..core.result import (
     UNSATISFIABLE,
 )
 from ..core.stats import SolverStats
+from ..obs import sink_for
 from ..obs.events import IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 
 
 class BruteForceSolver:
@@ -41,7 +41,7 @@ class BruteForceSolver:
         self._instance = instance
         self._options = options if options is not None else SolverOptions()
         opts = self._options
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
+        self._tracer = sink_for(opts)
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
 

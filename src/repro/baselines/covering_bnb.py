@@ -26,6 +26,7 @@ from ..core.result import (
 )
 from ..core.stats import SolverStats
 from ..mis.independent_set import MISBound
+from ..obs import sink_for
 from ..obs.events import (
     IncumbentEvent,
     LowerBoundEvent,
@@ -33,7 +34,6 @@ from ..obs.events import (
     RunHeaderEvent,
 )
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.instance import PBInstance
 
 
@@ -69,11 +69,11 @@ class CoveringBnBSolver:
         self._max_nodes = (
             max_nodes if max_nodes is not None else opts.max_decisions
         )
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
+        self._tracer = sink_for(opts)
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
         self._costs = instance.objective.costs
-        self._mis = MISBound(instance, metrics=opts.metrics)
+        self._mis = MISBound(instance)
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveResult:
@@ -225,8 +225,10 @@ class CoveringBnBSolver:
                         )
                     prune = True
                 else:
+                    mis = self._mis
+                    seconds, misses = mis.total_seconds, mis.cache_misses
                     with self._timer.phase("lower_bound.mis"):
-                        bound = self._mis.compute(assignment)
+                        bound = mis.compute(assignment)
                     self.stats.lower_bound_calls += 1
                     pruned = bound.infeasible or cost + bound.value >= upper
                     if tracer.enabled:
@@ -238,6 +240,8 @@ class CoveringBnBSolver:
                                 level=len(stack),
                                 infeasible=bound.infeasible,
                                 pruned=pruned,
+                                seconds=mis.total_seconds - seconds,
+                                cache_misses=mis.cache_misses - misses,
                             )
                         )
                     if pruned:

@@ -31,9 +31,9 @@ from ..core.result import (
     UNSATISFIABLE,
 )
 from ..core.stats import SolverStats
+from ..obs import sink_for
 from ..obs.events import CutEvent, IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.instance import PBInstance
 from .sat_search import STOPPED, UNSAT, DecisionSearch
 
@@ -59,7 +59,7 @@ class CuttingPlanesSolver:
         opts = self._options
         self._time_limit = opts.time_limit
         self._max_conflicts = opts.max_conflicts
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
+        self._tracer = sink_for(opts)
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
 
@@ -183,6 +183,7 @@ class CuttingPlanesSolver:
                     cost=reported,
                     decisions=self.stats.decisions,
                     conflicts=self.stats.conflicts,
+                    propagate_calls=search.propagate_calls,
                 )
             )
             tracer.flush()

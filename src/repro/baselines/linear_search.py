@@ -23,9 +23,9 @@ from ..core.result import (
     UNSATISFIABLE,
 )
 from ..core.stats import SolverStats
+from ..obs import sink_for
 from ..obs.events import CutEvent, IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .sat_search import STOPPED, UNSAT, DecisionSearch
@@ -51,7 +51,7 @@ class LinearSearchSolver:
         opts = self._options
         self._time_limit = opts.time_limit
         self._max_conflicts = opts.max_conflicts
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
+        self._tracer = sink_for(opts)
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
 
@@ -78,6 +78,7 @@ class LinearSearchSolver:
         best_assignment: Optional[Dict[int, int]] = None
         external_cost: Optional[int] = None  # reported scale, model elsewhere
         status = None
+        propagate_calls = 0
         while True:
             if options.should_stop is not None and options.should_stop():
                 self.stats.interrupted = True
@@ -113,6 +114,7 @@ class LinearSearchSolver:
             self.stats.decisions += search.decisions
             self.stats.logic_conflicts += search.conflicts
             self.stats.propagations += search.propagations
+            propagate_calls += search.propagate_calls
             if outcome == STOPPED:
                 status = UNKNOWN
                 if options.should_stop is not None and options.should_stop():
@@ -173,6 +175,7 @@ class LinearSearchSolver:
                     cost=reported,
                     decisions=self.stats.decisions,
                     conflicts=self.stats.conflicts,
+                    propagate_calls=propagate_calls,
                 )
             )
             tracer.flush()

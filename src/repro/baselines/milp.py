@@ -30,9 +30,9 @@ from ..core.stats import SolverStats
 from ..lp.simplex import INFEASIBLE, OPTIMAL as LP_OPTIMAL, SimplexSolver
 from ..lp.standard_form import build_lp_data
 from ..lp.tolerances import ROUND_EPS, ceil_guarded
+from ..obs import sink_for
 from ..obs.events import IncumbentEvent, ResultEvent, RunHeaderEvent
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.instance import PBInstance
 
 _INT_TOL = ROUND_EPS
@@ -57,7 +57,7 @@ class MILPSolver:
         self._max_nodes = (
             max_nodes if max_nodes is not None else opts.max_decisions
         )
-        self._tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
+        self._tracer = sink_for(opts)
         self._timer = PhaseTimer() if opts.profile else NULL_TIMER
         self.stats = SolverStats()
         self.nodes = 0

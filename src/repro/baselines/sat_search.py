@@ -57,6 +57,11 @@ class DecisionSearch:
         """Implications discovered so far (engine counter)."""
         return self._propagator.num_propagations
 
+    @property
+    def propagate_calls(self) -> int:
+        """Engine ``propagate`` calls so far (counted while traced)."""
+        return self._propagator.propagate_calls
+
     # ------------------------------------------------------------------
     def add_constraint(self, constraint: Constraint) -> None:
         """Add a constraint; the search state adapts incrementally."""

@@ -170,10 +170,9 @@ class SolverOptions:
         self.tracer = tracer
         #: Collect per-phase wall times into ``stats.phase_times``.
         self.profile = profile
-        #: Metrics registry (:class:`repro.obs.metrics.MetricsRegistry`);
-        #: None = no metrics, with zero per-update overhead (the solver
-        #: resolves instruments once and guards hot paths on a cached
-        #: enabled flag — the null-tracer discipline).
+        #: Metrics registry (:class:`repro.obs.metrics.MetricsRegistry`),
+        #: fed from the same event stream as ``tracer`` (see
+        #: :func:`repro.obs.sink_for`); None = no metrics, zero overhead.
         self.metrics = metrics
         #: Hotspot profiler (:class:`repro.obs.prof.HotspotProfiler`);
         #: when set the solver runs it around the solve, scoping samples

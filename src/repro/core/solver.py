@@ -33,6 +33,7 @@ from ..engine.restarts import RestartScheduler
 from ..lagrangian.subgradient import LagrangianBound, SubgradientOptions
 from ..lp.relaxation import LowerBound, LPRelaxationBound
 from ..mis.independent_set import MISBound
+from ..obs import sink_for
 from ..obs.events import (
     BackjumpEvent,
     ConflictEvent,
@@ -46,7 +47,6 @@ from ..obs.events import (
     RunHeaderEvent,
 )
 from ..obs.timers import NULL_TIMER, PhaseTimer
-from ..obs.trace import NULL_TRACER
 from ..pb.constraints import Constraint
 from ..pb.instance import PBInstance
 from .bound_conflicts import (
@@ -72,9 +72,7 @@ logger = logging.getLogger("repro.bsolo")
 
 
 def make_bounders(
-    instance: PBInstance,
-    options: SolverOptions,
-    metrics=None,
+    instance: PBInstance, options: SolverOptions
 ) -> Tuple[Optional[MISBound], Optional[object]]:
     """Build the ``(prefilter, bounder)`` pair for ``options.lower_bound``.
 
@@ -88,19 +86,15 @@ def make_bounders(
     if method == PLAIN or instance.objective.is_constant:
         return None, None
     if method == MIS:
-        return None, MISBound(instance, metrics=metrics)
+        return None, MISBound(instance)
     if method == LGR:
         return None, LagrangianBound(
             instance,
             SubgradientOptions(max_iterations=options.lgr_iterations),
         )
-    prefilter = (
-        MISBound(instance, metrics=metrics) if method == HYBRID else None
-    )
+    prefilter = MISBound(instance) if method == HYBRID else None
     return prefilter, LPRelaxationBound(
-        instance,
-        max_iterations=options.lp_max_iterations,
-        metrics=metrics,
+        instance, max_iterations=options.lp_max_iterations
     )
 
 
@@ -144,13 +138,9 @@ class BsoloSolver:
         #: one-shot solves, 1 (the guard level) for session calls.
         self._root_level = 0 if session is None else 1
 
-        tracer = self._options.tracer
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        metrics = self._options.metrics
-        self._metrics = (
-            metrics if (metrics is not None and metrics.enabled) else None
-        )
-        self._m_enabled = self._metrics is not None
+        #: The one event sink (tracer and/or metrics registry); every
+        #: emission site checks ``self._tracer.enabled`` once.
+        self._tracer = sink_for(self._options)
         #: Opt-in hotspot profiler; forces phase accounting on so its
         #: samples can be scoped to solver phases.
         self._hotspot = self._options.hotspot
@@ -161,8 +151,6 @@ class BsoloSolver:
             self._timer = PhaseTimer(listener=listener)
         else:
             self._timer = NULL_TIMER
-        if self._m_enabled:
-            self._bind_metrics()
         if session is not None:
             # Borrow the session's persistent state: engine (constraints
             # pre-loaded), activity, restart/bound-schedule state and the
@@ -177,8 +165,7 @@ class BsoloSolver:
             self._propagator = make_engine(
                 self._options.propagation,
                 instance.num_variables,
-                tracer=self._tracer if self._tracer.enabled else None,
-                metrics=self._metrics,
+                tracer=self._tracer,
             )
             self._activity = VSIDSActivity(
                 instance.num_variables, decay=self._options.vsids_decay
@@ -188,8 +175,7 @@ class BsoloSolver:
                 if self._options.restarts
                 else None
             )
-            self._prefilter = None  # set by _make_bounder for "hybrid"
-            self._bounder = self._make_bounder()
+            self._prefilter, self._bounder = make_bounders(instance, self._options)
             self._schedule = make_schedule(self._options)
         # One analyzer per solver: its flat seen-buffer is reused across
         # every conflict (sized to the trail, which sessions extend by a
@@ -248,50 +234,6 @@ class BsoloSolver:
         self._next_progress = self._options.progress_interval
 
     # ------------------------------------------------------------------
-    def _bind_metrics(self) -> None:
-        """Resolve metric instruments once, at construction time.
-
-        Hot paths only touch the cached children behind the
-        ``self._m_enabled`` guard — the same zero-cost-when-disabled
-        discipline as the null tracer.
-        """
-        m = self._metrics
-        conflicts = m.counter(
-            "solver_conflicts", "Conflicts by type", labels=("type",)
-        )
-        self._m_conflicts_logic = conflicts.labels(type="logic")
-        self._m_conflicts_bound = conflicts.labels(type="bound")
-        self._m_decisions = m.counter(
-            "solver_decisions", "Branching decisions"
-        )
-        self._m_cuts = m.counter(
-            "solver_cuts", "Cutting constraints added (Section 5)"
-        )
-        self._m_prunings = m.counter(
-            "solver_prunings", "Nodes pruned by the lower bound"
-        )
-        self._m_uncertified = m.counter(
-            "solver_uncertified_prunes",
-            "Prunes declined because no certificate could be logged",
-        )
-        self._m_incumbents = m.counter(
-            "solver_incumbents", "Improving solutions found"
-        )
-        self._m_restarts = m.counter("solver_restarts", "Restarts performed")
-        self._m_lb_seconds = m.histogram(
-            "solver_lower_bound_seconds",
-            "Wall time of one lower-bound estimation",
-            labels=("method",),
-        )
-
-    # ------------------------------------------------------------------
-    def _make_bounder(self):
-        self._prefilter, bounder = make_bounders(
-            self._instance, self._options, metrics=self._metrics
-        )
-        return bounder
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def solve(self, assumptions: Optional[Sequence[int]] = None) -> SolveResult:
@@ -309,6 +251,7 @@ class BsoloSolver:
         if self._options.time_limit is not None:
             self._deadline = start + self._options.time_limit
         tracer = self._tracer
+        calls_before = self._propagator.propagate_calls
         if tracer.enabled:
             tracer.emit(
                 RunHeaderEvent(
@@ -335,6 +278,7 @@ class BsoloSolver:
                     cost=result.best_cost,
                     decisions=self.stats.decisions,
                     conflicts=self.stats.conflicts,
+                    propagate_calls=self._propagator.propagate_calls - calls_before,
                 )
             )
             tracer.flush()
@@ -513,8 +457,6 @@ class BsoloSolver:
             if conflict is not None:
                 self.stats.logic_conflicts += 1
                 self.stats.propagations = propagator.num_propagations
-                if self._m_enabled:
-                    self._m_conflicts_logic.inc()
                 if tracer.enabled:
                     tracer.emit(
                         ConflictEvent(
@@ -537,8 +479,6 @@ class BsoloSolver:
                     and propagator.trail.decision_level > self._root_level
                 ):
                     self.stats.restarts += 1
-                    if self._m_enabled:
-                        self._m_restarts.inc()
                     if tracer.enabled:
                         tracer.emit(RestartEvent(conflicts=self.stats.conflicts))
                     # Session calls restart to the guard level, never to 0.
@@ -578,15 +518,10 @@ class BsoloSolver:
 
             if self._bounder is not None and self._should_bound():
                 bound_start = time.monotonic()
-                pruned, exhausted = self._apply_lower_bound()
-                bound_seconds = time.monotonic() - bound_start
+                pruned, exhausted = self._apply_lower_bound(bound_start)
                 self._schedule.record(
-                    pruned, bound_seconds, self._last_bound_method
+                    pruned, time.monotonic() - bound_start, self._last_bound_method
                 )
-                if self._m_enabled:
-                    self._m_lb_seconds.labels(
-                        method=self._last_bound_method
-                    ).observe(bound_seconds)
                 if pruned:
                     self._maybe_progress()
                 if exhausted:
@@ -602,8 +537,6 @@ class BsoloSolver:
             if literal is None:  # pragma: no cover - all_assigned handles this
                 return self._finish()
             self.stats.decisions += 1
-            if self._m_enabled:
-                self._m_decisions.inc()
             if (
                 self._options.max_decisions is not None
                 and self.stats.decisions > self._options.max_decisions
@@ -654,8 +587,6 @@ class BsoloSolver:
             for cut in cuts:
                 conflict = self._propagator.add_constraint(cut)
                 self.stats.cuts_added += 1
-                if self._m_enabled:
-                    self._m_cuts.inc()
                 if self._tracer.enabled:
                     self._tracer.emit(CutEvent(size=len(cut)))
                 if conflict is not None and not self._resolve(
@@ -698,107 +629,102 @@ class BsoloSolver:
     def _should_bound(self) -> bool:
         return self._schedule.should_bound()
 
-    def _apply_lower_bound(self) -> Tuple[bool, bool]:
+    def _apply_lower_bound(self, started: float) -> Tuple[bool, bool]:
         """Estimate ``P.lower``; prune on a bound conflict.
 
-        Returns ``(pruned, search_exhausted)``.
+        Returns ``(pruned, search_exhausted)``.  Emits exactly one
+        lower-bound event, after certification, carrying the real
+        outcome (``started`` is the call's start, for its ``seconds``).
         """
         trail = self._propagator.trail
-        timer = self._timer
         tracer = self._tracer
         fixed = trail.assignment()
         path = self._objective.path_cost(fixed)
+        work = self._bound_work() if tracer.enabled else None
         bound = self._compute_bound(fixed, path)
         self.stats.lower_bound_calls += 1
 
+        clause: Optional[Tuple[int, ...]] = None
+        certified = False
         if bound.infeasible:
             clause = infeasibility_clause(
                 self._instance, trail, self._cut_constraints
             )
-            if not self._certify_infeasibility(clause):
-                self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
-                return False, False
-            self.stats.bound_conflicts += 1
-            if self._m_enabled:
-                self._m_conflicts_bound.inc()
-            if tracer.enabled:
-                tracer.emit(
-                    LowerBoundEvent(
-                        method=self._last_bound_method,
-                        value=0,
-                        path=path,
-                        level=trail.decision_level,
-                        infeasible=True,
-                        pruned=True,
+            certified = self._certify_infeasibility(clause)
+        else:
+            if bound.fractional:
+                self._lp_values = bound.fractional
+            self._last_lower = path + bound.value
+            if path + bound.value >= self._upper:
+                if self._options.bound_conflict_learning:
+                    alpha = self._alpha_refinement(bound, fixed)
+                    clause = bound_conflict_clause(
+                        self._objective, trail, bound.explanation, alpha
                     )
-                )
-                tracer.emit(
-                    ConflictEvent(type="bound", level=trail.decision_level)
-                )
-            timer.push("analyze")
-            resolved = self._resolve(clause)
-            timer.pop()
-            return True, not resolved
-
-        if bound.fractional:
-            self._lp_values = bound.fractional
-        self._last_lower = path + bound.value
-
-        pruned = path + bound.value >= self._upper
+                    bound_clause: Optional[Tuple[int, ...]] = clause
+                else:
+                    # Chronological variant: blame every decision on the path.
+                    clause = tuple(
+                        -trail.decision_at(level)
+                        for level in range(1, trail.decision_level + 1)
+                    )
+                    # The decisions clause is certified through w_bc: once
+                    # the bound clause is in the proof database, asserting
+                    # all decisions replays the trail and violates it.
+                    bound_clause = (
+                        bound_conflict_clause(
+                            self._objective, trail, bound.explanation, None
+                        )
+                        if self._proof is not None
+                        else None
+                    )
+                certified = self._certify_bound_clause(bound_clause, bound, clause)
         if tracer.enabled:
+            hits, misses, pivots, batch = (
+                now - before for now, before in zip(self._bound_work(), work)
+            )
             tracer.emit(
                 LowerBoundEvent(
                     method=self._last_bound_method,
                     value=bound.value,
                     path=path,
                     level=trail.decision_level,
-                    pruned=pruned,
+                    infeasible=bound.infeasible,
+                    pruned=clause is not None and certified,
+                    declined=clause is not None and not certified,
+                    seconds=time.monotonic() - started,
+                    cache_hits=hits,
+                    cache_misses=misses,
+                    pivots=pivots,
+                    batch_pivots=batch,
                 )
             )
-        if pruned:
-            if self._options.bound_conflict_learning:
-                alpha = self._alpha_refinement(bound, fixed)
-                clause = bound_conflict_clause(
-                    self._objective, trail, bound.explanation, alpha
-                )
-                bound_clause: Optional[Tuple[int, ...]] = clause
-            else:
-                # Chronological variant: blame every decision on the path.
-                clause = tuple(
-                    -trail.decision_at(level)
-                    for level in range(1, trail.decision_level + 1)
-                )
-                # The decisions clause is certified through w_bc: once
-                # the bound clause is in the proof database, asserting
-                # all decisions replays the trail and violates it.
-                bound_clause = (
-                    bound_conflict_clause(
-                        self._objective, trail, bound.explanation, None
-                    )
-                    if self._proof is not None
-                    else None
-                )
-            if not self._certify_bound_clause(bound_clause, bound, clause):
-                self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
-                return False, False
-            self.stats.bound_conflicts += 1
+        if clause is None:
+            return False, False
+        if not certified:
+            self.stats.uncertified_prunes += 1
+            return False, False
+        self.stats.bound_conflicts += 1
+        if not bound.infeasible:
             self.stats.prunings += 1
-            if self._m_enabled:
-                self._m_conflicts_bound.inc()
-                self._m_prunings.inc()
-            if tracer.enabled:
-                tracer.emit(
-                    ConflictEvent(type="bound", level=trail.decision_level)
-                )
-            timer.push("analyze")
-            resolved = self._resolve(clause)
-            timer.pop()
-            return True, not resolved
-        return False, False
+        if tracer.enabled:
+            tracer.emit(ConflictEvent(type="bound", level=trail.decision_level))
+        self._timer.push("analyze")
+        resolved = self._resolve(clause)
+        self._timer.pop()
+        return True, not resolved
+
+    def _bound_work(self) -> Tuple[int, int, int, int]:
+        """Cumulative MIS cache hits, misses, LP pivots, batched pivots."""
+        hits = misses = pivots = batch = 0
+        for bounder in (self._prefilter, self._bounder):
+            if isinstance(bounder, MISBound):
+                hits += bounder.cache_hits
+                misses += bounder.cache_misses
+            elif isinstance(bounder, LPRelaxationBound):
+                pivots += bounder.total_iterations
+                batch += bounder.total_batch_pivots
+        return hits, misses, pivots, batch
 
     # ------------------------------------------------------------------
     # Proof-mode certificates (see repro.certify)
@@ -927,8 +853,6 @@ class BsoloSolver:
             self._best_assignment = dict(assignment)
             self._upper = cost
             reported = cost + self._objective.offset
-            if self._m_enabled:
-                self._m_incumbents.inc()
             logger.debug("new incumbent: cost %d", reported)
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -976,8 +900,8 @@ class BsoloSolver:
                 if proof is None or proof.log_proven_cut(proven_source):
                     return self._finish()
                 self.stats.uncertified_prunes += 1
-                if self._m_enabled:
-                    self._m_uncertified.inc()
+                if self._tracer.enabled:
+                    self._tracer.emit(CutEvent(declined=True))
             # The knapsack cut (eq. 10) IS the improvement axiom the 'o'
             # step derived, so it needs no proof step of its own.
             cuts = [] if knapsack is None else [knapsack]
@@ -994,8 +918,6 @@ class BsoloSolver:
                     cut, learned=self._session is not None
                 )
                 self.stats.cuts_added += 1
-                if self._m_enabled:
-                    self._m_cuts.inc()
                 if self._tracer.enabled:
                     self._tracer.emit(CutEvent(size=len(cut)))
             # For the relaxations, each new solution's cuts dominate the

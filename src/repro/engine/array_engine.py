@@ -54,8 +54,8 @@ class ArrayPropagator(PropagationEngine):
 
     name = "array"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
-        super().__init__(num_variables, tracer=tracer, metrics=metrics)
+    def __init__(self, num_variables: int, tracer=None):
+        super().__init__(num_variables, tracer=tracer)
         # Replace the list-backed trail with the numpy-backed one before
         # anything observes it; the API is identical.
         self.trail = ArrayTrail(num_variables)

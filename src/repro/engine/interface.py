@@ -92,26 +92,14 @@ class PropagationEngine(ABC):
     #: Registry name of the backend (set by subclasses).
     name = "abstract"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
+    def __init__(self, num_variables: int, tracer=None):
         self.trail = Trail(num_variables)
         self.num_propagations = 0
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self._metrics = metrics if (metrics is not None and metrics.enabled) else None
         self._batch_mark = 0
-        if self._metrics is not None:
-            # Resolve instruments once; the propagate wrapper only calls
-            # .inc() on the hot path.
-            self._m_propagations = self._metrics.counter(
-                "engine_propagations",
-                "Implications discovered by BCP",
-                labels=("backend",),
-            ).labels(backend=self.name)
-            self._m_propagate_calls = self._metrics.counter(
-                "engine_propagate_calls",
-                "Calls to the propagation fixed-point loop",
-                labels=("backend",),
-            ).labels(backend=self.name)
-        if self._tracer is None and self._metrics is None:
+        #: Calls to :meth:`propagate`, counted while a sink is installed.
+        self.propagate_calls = 0
+        if self._tracer is None:
             # Skip the batch-accounting wrapper entirely on the null path.
             self.propagate = self._propagate_loop  # type: ignore[method-assign]
         # var -> the PB constraint that implied it (for cutting-plane
@@ -195,14 +183,15 @@ class PropagationEngine(ABC):
     def propagate(self) -> Optional[Conflict]:
         """Run boolean constraint propagation to a fixed point.
 
-        Returns the first conflict discovered, or ``None``.
+        Returns the first conflict discovered, or ``None``.  With an
+        event sink installed, a call that implied something or
+        conflicted emits one :class:`PropagationEvent`.
         """
-        if self._tracer is None and self._metrics is None:
-            return self._propagate_loop()
         conflict = self._propagate_loop()
+        self.propagate_calls += 1
         delta = self.num_propagations - self._batch_mark
         self._batch_mark = self.num_propagations
-        if self._tracer is not None and (delta or conflict is not None):
+        if delta or conflict is not None:
             self._tracer.emit(
                 PropagationEvent(
                     count=delta,
@@ -210,10 +199,6 @@ class PropagationEngine(ABC):
                     conflict=conflict is not None,
                 )
             )
-        if self._metrics is not None:
-            self._m_propagate_calls.inc()
-            if delta:
-                self._m_propagations.inc(delta)
         return conflict
 
     # ------------------------------------------------------------------
@@ -297,10 +282,7 @@ def register_engine(
 ) -> None:
     """Register ``factory(num_variables, tracer=None) -> engine`` under
     ``name``.  Re-registering a name replaces it (tests use this to
-    inject instrumented engines).  Factories that also accept a
-    ``metrics`` keyword get it forwarded when the caller supplies one;
-    older two-argument factories keep working as long as nobody asks
-    them for metrics."""
+    inject instrumented engines)."""
     _ENGINES[name] = (factory, description)
 
 
@@ -314,13 +296,11 @@ def engine_descriptions() -> Dict[str, str]:
     return {name: desc for name, (_, desc) in sorted(_ENGINES.items())}
 
 
-def make_engine(
-    name: str, num_variables: int, tracer=None, metrics=None
-) -> PropagationEngine:
+def make_engine(name: str, num_variables: int, tracer=None) -> PropagationEngine:
     """Instantiate a registered propagation backend.
 
-    ``metrics`` is forwarded only when set, so third-party factories
-    registered before the metrics layer existed keep working.
+    ``tracer`` is the solve's event sink (see :func:`repro.obs.sink_for`);
+    None or a disabled one leaves the engine on its raw propagation loop.
     """
     try:
         factory = _ENGINES[name][0]
@@ -329,6 +309,4 @@ def make_engine(
             "unknown propagation engine %r (choose from %s)"
             % (name, ", ".join(available_engines()))
         ) from None
-    if metrics is not None:
-        return factory(num_variables, tracer=tracer, metrics=metrics)
     return factory(num_variables, tracer=tracer)

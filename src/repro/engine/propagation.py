@@ -43,16 +43,14 @@ __all__ = ["Conflict", "Propagator"]
 class Propagator(PropagationEngine):
     """Counter-based engine: eager slacks, occurrence-list updates.
 
-    ``tracer`` (a :class:`repro.obs.trace.Tracer`) is optional; when
-    given and enabled, every :meth:`propagate` call that produced
-    implications or a conflict emits one batch event.  The hot loops are
-    untouched — the accounting rides on the existing counter.
+    The optional ``tracer`` is handled by the base class; the hot loops
+    are untouched by it.
     """
 
     name = "counter"
 
-    def __init__(self, num_variables: int, tracer=None, metrics=None):
-        super().__init__(num_variables, tracer=tracer, metrics=metrics)
+    def __init__(self, num_variables: int, tracer=None):
+        super().__init__(num_variables, tracer=tracer)
         self.database = ConstraintDatabase(self.trail)
         self._pending: Deque[StoredConstraint] = deque()
 

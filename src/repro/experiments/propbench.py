@@ -82,17 +82,17 @@ def family_instances(
 # Drive mode
 # ----------------------------------------------------------------------
 def drive_replay(
-    instance: PBInstance, backend: str, seed: int, rounds: int, metrics=None
+    instance: PBInstance, backend: str, seed: int, rounds: int, tracer=None
 ) -> Dict[str, Any]:
     """Replay one seeded decision walk on ``backend``.
 
     Returns the implication count and the wall time of the timed region
-    (everything after constraint loading).  ``metrics`` is forwarded to
-    the engine — pass a disabled registry to measure the
-    zero-overhead-when-disabled contract (see
+    (everything after constraint loading).  ``tracer`` is the engine's
+    event sink — pass the one a disabled registry resolves to, to
+    measure the zero-overhead-when-disabled contract (see
     :func:`bench_metrics_overhead`).
     """
-    engine = make_engine(backend, instance.num_variables, metrics=metrics)
+    engine = make_engine(backend, instance.num_variables, tracer=tracer)
     for constraint in instance.constraints:
         engine.add_constraint(constraint)
     engine.propagate()
@@ -190,24 +190,25 @@ def bench_metrics_overhead(
 
     The zero-overhead-when-disabled contract (see ``docs/DESIGN.md``)
     promises that passing ``NULL_METRICS`` to a solver costs nothing
-    measurable on the hot path: instruments resolve to ``None`` at
-    construction and the propagate wrapper is bypassed entirely.  This
-    benchmark replays the same seeded decision walk with no registry and
-    with the disabled registry, best-of-``trials`` each, and reports the
-    relative overhead (expected within noise of 0%; the acceptance bar
-    is 2%).  Trials alternate between the two registries so slow drift
-    on the host (thermal throttling, background load) hits both sides
-    equally instead of biasing whichever phase ran second.
+    measurable on the hot path: :func:`repro.obs.sink_for` resolves it
+    to the null tracer and the engine bypasses its propagate wrapper.
+    This benchmark replays the same seeded decision walk on an engine
+    with no sink and on one with the sink ``SolverOptions(metrics=
+    NULL_METRICS)`` resolves to, best-of-``trials`` each, and reports the
+    relative overhead (expected within noise of 0%; the bar is 2%).
+    Trials alternate between the two sides so slow drift on the host
+    hits both equally instead of biasing whichever phase ran second.
     """
-    from ..obs.metrics import NULL_METRICS
+    from ..obs import NULL_METRICS, sink_for
 
+    disabled = sink_for(SolverOptions(metrics=NULL_METRICS, propagation=backend))
     timings: Dict[str, Optional[float]] = {"baseline": None, "disabled": None}
     for _ in range(max(1, trials)):
-        for label, registry in (("baseline", None), ("disabled", NULL_METRICS)):
+        for label, tracer in (("baseline", None), ("disabled", disabled)):
             seconds = 0.0
             for index, instance in enumerate(instances):
                 outcome = drive_replay(
-                    instance, backend, seed + index, rounds, metrics=registry
+                    instance, backend, seed + index, rounds, tracer=tracer
                 )
                 seconds += outcome["seconds"]
             best = timings[label]

@@ -50,6 +50,7 @@ from ..core.lb_schedule import make_schedule
 from ..engine.activity import VSIDSActivity
 from ..engine.interface import make_engine
 from ..engine.restarts import RestartScheduler
+from ..obs import sink_for
 from ..pb.constraints import Constraint
 from ..pb.instance import InfeasibleConstraintError, PBInstance
 from ..pb.objective import Objective
@@ -139,17 +140,11 @@ class SolverSession:
         self._objective = instance.objective
         self._variable_names = dict(instance.variable_names)
 
-        tracer = self._options.tracer
-        metrics = self._options.metrics
-        self._metrics = (
-            metrics if (metrics is not None and metrics.enabled) else None
-        )
         #: Persistent engine, sized to include the guard variable.
         self.propagator = make_engine(
             self._options.propagation,
             self.guard_var,
-            tracer=tracer if (tracer is not None and tracer.enabled) else None,
-            metrics=self._metrics,
+            tracer=sink_for(self._options),
         )
         #: Persistent branching activity (warm across calls).
         self.activity = VSIDSActivity(
@@ -384,9 +379,7 @@ class SolverSession:
         for bounder in (self.prefilter, self.bounder):
             if bounder is not None and hasattr(bounder, "detach_trail"):
                 bounder.detach_trail(trail)
-        self.prefilter, self.bounder = make_bounders(
-            self._instance, self._options, metrics=self._metrics
-        )
+        self.prefilter, self.bounder = make_bounders(self._instance, self._options)
         if self._options.incremental_bounds:
             for bounder in (self.prefilter, self.bounder):
                 if bounder is not None and hasattr(bounder, "attach_trail"):

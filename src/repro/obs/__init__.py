@@ -9,7 +9,8 @@ The measurement layer every performance claim is judged against:
   when disabled) and the crash-safe buffered :class:`JsonlTracer` sink;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram families in a
   :class:`MetricsRegistry` with deterministic exposition and
-  cross-process snapshot merging (:data:`NULL_METRICS` when off);
+  cross-process snapshot merging (:data:`NULL_METRICS` when off), fed
+  from the event stream through :func:`sink_for` (:class:`MetricsSink`);
 * :mod:`repro.obs.timers` — :class:`PhaseTimer` with exclusive-time
   accounting per search phase;
 * :mod:`repro.obs.prof` — the opt-in :class:`HotspotProfiler`
@@ -73,14 +74,14 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    MetricsSink,
     NullMetricsRegistry,
-    default_registry,
-    set_default_registry,
+    sink_for,
 )
 from .prof import HotspotProfiler, format_hotspots
 from .report import format_profile, format_progress, gap_history, trace_summary
 from .timers import NULL_TIMER, NullPhaseTimer, PhaseTimer
-from .trace import NULL_TRACER, JsonlTracer, NullTracer, Tracer, read_trace
+from .trace import NULL_TRACER, JsonlTracer, NullTracer, TeeTracer, Tracer, read_trace
 
 __all__ = [
     "BACKJUMP",
@@ -115,6 +116,7 @@ __all__ = [
     "JsonlTracer",
     "LowerBoundEvent",
     "MetricsRegistry",
+    "MetricsSink",
     "NullMetricsRegistry",
     "NullPhaseTimer",
     "NullTracer",
@@ -124,9 +126,9 @@ __all__ = [
     "RestartEvent",
     "ResultEvent",
     "RunHeaderEvent",
+    "TeeTracer",
     "Tracer",
     "WorkerSummaryEvent",
-    "default_registry",
     "event_from_record",
     "format_hotspots",
     "format_profile",
@@ -136,7 +138,7 @@ __all__ = [
     "merge_trace_files",
     "merge_traces",
     "read_trace",
-    "set_default_registry",
+    "sink_for",
     "straggler_summary",
     "trace_summary",
     "worker_spans",

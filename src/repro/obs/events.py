@@ -118,7 +118,9 @@ class RestartEvent(Event):
 
 @dataclass
 class LowerBoundEvent(Event):
-    """One lower-bound estimation (Section 3) and its outcome."""
+    """One lower-bound estimation (Section 3) and its outcome, emitted
+    after certification: ``declined`` = the bound called for a prune
+    whose proof certificate failed, so the search went on."""
 
     kind: ClassVar[str] = LOWER_BOUND
     method: str = ""  # "mis" | "lgr" | "lpr"
@@ -127,6 +129,12 @@ class LowerBoundEvent(Event):
     level: int = 0
     infeasible: bool = False
     pruned: bool = False
+    declined: bool = False
+    seconds: float = 0.0  # wall time of the estimation and certificate
+    cache_hits: int = 0  # MIS constraint-state cache
+    cache_misses: int = 0
+    pivots: int = 0  # LP simplex pivots
+    batch_pivots: int = 0  # of which applied by the batched kernels
 
 
 @dataclass
@@ -146,6 +154,8 @@ class CutEvent(Event):
 
     kind: ClassVar[str] = CUT
     size: int = 0
+    #: An eq. 13 optimality cut whose certificate failed (nothing added).
+    declined: bool = False
 
 
 @dataclass
@@ -168,6 +178,8 @@ class ResultEvent(Event):
     cost: Optional[int] = None
     decisions: int = 0
     conflicts: int = 0
+    #: Engine ``propagate`` calls, incl. those emitting no propagation event.
+    propagate_calls: int = 0
 
 
 @dataclass

@@ -7,13 +7,13 @@ long benchmark runs, CI jobs.
 
 Design rules, in order of importance:
 
-1. **Zero cost when disabled.**  The shared :data:`NULL_METRICS`
-   registry hands out inert instruments and reports ``enabled = False``;
-   instrumented code resolves its instruments once (at construction
-   time) and guards hot-path updates with a cached boolean, exactly the
-   :data:`~repro.obs.trace.NULL_TRACER` discipline.  The propagation
-   engines go further and bypass their accounting wrapper entirely when
-   neither tracing nor metrics are live.
+1. **One instrument path, zero cost when disabled.**  Search code never
+   sees a registry: :func:`sink_for` turns ``SolverOptions.metrics``
+   into a :class:`MetricsSink` that subscribes to the search-event
+   stream (teed with ``SolverOptions.tracer`` when both are set).  With
+   neither enabled — :data:`NULL_METRICS` reports ``enabled = False`` —
+   the solve gets :data:`~repro.obs.trace.NULL_TRACER`, builds no event,
+   and the propagation engines bypass their accounting wrapper.
 2. **Deterministic exposition.**  :meth:`MetricsRegistry.render_text`
    and :meth:`MetricsRegistry.as_dict` order families and label sets
    lexicographically, so two runs that did the same work render the
@@ -43,6 +43,19 @@ A *family* is a named instrument plus its labeled children::
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from .events import (
+    CONFLICT,
+    CUT,
+    DECISION,
+    INCUMBENT,
+    LOWER_BOUND,
+    PROPAGATION,
+    RESTART,
+    RESULT,
+    Event,
+)
+from .trace import NULL_TRACER, TeeTracer, Tracer
 
 #: Default histogram bucket upper bounds (seconds-flavoured, spanning
 #: microsecond bound calls to multi-second LP solves).
@@ -143,8 +156,7 @@ class Histogram:
 
 def _format_bound(bound: float) -> str:
     """Render a bucket bound without trailing float noise."""
-    text = "%g" % bound
-    return text
+    return "%g" % bound
 
 
 class _Family:
@@ -499,19 +511,103 @@ class NullMetricsRegistry:
 #: Shared no-op instance: safe because it holds no state.
 NULL_METRICS = NullMetricsRegistry()
 
-#: Process-wide default registry, used by call sites that opt into
-#: metrics without threading a registry explicitly (CLI ``--metrics``).
-_default_registry: MetricsRegistry = MetricsRegistry()
+
+# ----------------------------------------------------------------------
+class MetricsSink(Tracer):
+    """A tracer that folds search events into a registry's solver families.
+
+    How a :class:`MetricsRegistry` subscribes to the search-event stream:
+    a count and the matching trace records come from the same emission.
+    Every family is registered up front, so a registry lists the same
+    counters (zero if untouched) whatever the solver; ``backend`` labels
+    the engine families.
+    """
+
+    enabled = True
+
+    def __init__(self, registry: MetricsRegistry, backend: str = "counter"):
+        counter = registry.counter
+        conflicts = counter("solver_conflicts", "Conflicts by type", labels=("type",))
+        self._conflicts = {
+            kind: conflicts.labels(type=kind) for kind in ("logic", "bound")
+        }
+        self._decisions = counter("solver_decisions", "Branching decisions")
+        self._cuts = counter("solver_cuts", "Cutting constraints added (Section 5)")
+        self._prunings = counter("solver_prunings", "Nodes pruned by the lower bound")
+        self._uncertified = counter(
+            "solver_uncertified_prunes",
+            "Prunes declined because no certificate could be logged",
+        )
+        self._incumbents = counter("solver_incumbents", "Improving solutions found")
+        self._restarts = counter("solver_restarts", "Restarts performed")
+        self._lb_seconds = registry.histogram(
+            "solver_lower_bound_seconds",
+            "Wall time of one lower-bound estimation",
+            labels=("method",),
+        )
+        cache = counter(
+            "mis_cache", "MIS constraint-state cache outcomes", labels=("outcome",)
+        )
+        self._cache_hits = cache.labels(outcome="hit")
+        self._cache_misses = cache.labels(outcome="miss")
+        self._pivots = counter(
+            "lp_pivots", "Simplex pivots performed by the LP bounder"
+        )
+        self._batch_pivots = counter(
+            "lp_batch_pivots", "Simplex pivots applied via the batched array kernels"
+        )
+        self._propagations = counter(
+            "engine_propagations", "Implications discovered by BCP", labels=("backend",)
+        ).labels(backend=backend)
+        self._propagate_calls = counter(
+            "engine_propagate_calls",
+            "Calls to the propagation fixed-point loop",
+            labels=("backend",),
+        ).labels(backend=backend)
+
+    def emit(self, event: Event) -> None:
+        """Update the families ``event`` feeds (other kinds are ignored)."""
+        kind = event.kind
+        if kind == PROPAGATION:
+            self._propagations.inc(event.count)
+        elif kind == DECISION:
+            self._decisions.inc()
+        elif kind == CONFLICT:
+            self._conflicts[event.type].inc()
+        elif kind == LOWER_BOUND:
+            self._lb_seconds.labels(method=event.method).observe(event.seconds)
+            if event.pruned and not event.infeasible:
+                self._prunings.inc()
+            if event.declined:
+                self._uncertified.inc()
+            self._cache_hits.inc(event.cache_hits)
+            self._cache_misses.inc(event.cache_misses)
+            self._pivots.inc(event.pivots)
+            self._batch_pivots.inc(event.batch_pivots)
+        elif kind == CUT:
+            (self._uncertified if event.declined else self._cuts).inc()
+        elif kind == INCUMBENT:
+            self._incumbents.inc()
+        elif kind == RESTART:
+            self._restarts.inc()
+        elif kind == RESULT:
+            self._propagate_calls.inc(event.propagate_calls)
 
 
-def default_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _default_registry
+def sink_for(options) -> Tracer:
+    """The one event sink a solve with ``options`` reports to.
 
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default registry; returns the old one."""
-    global _default_registry
-    old = _default_registry
-    _default_registry = registry
-    return old
+    :data:`~repro.obs.trace.NULL_TRACER` when neither ``options.tracer``
+    nor ``options.metrics`` is enabled, the enabled one alone, or a
+    :class:`~repro.obs.trace.TeeTracer` of the tracer and the registry's
+    :class:`MetricsSink`.  Search code checks ``sink.enabled`` once per
+    site and never sees a registry.
+    """
+    sinks: List[Tracer] = []
+    if options.tracer is not None and options.tracer.enabled:
+        sinks.append(options.tracer)
+    if options.metrics is not None and options.metrics.enabled:
+        sinks.append(MetricsSink(options.metrics, options.propagation))
+    if len(sinks) > 1:
+        return TeeTracer(*sinks)
+    return sinks[0] if sinks else NULL_TRACER

@@ -98,6 +98,31 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
+class TeeTracer(Tracer):
+    """Forwards every event to several enabled sinks, in order (closing
+    them is left to their owners)."""
+
+    enabled = True
+
+    def __init__(self, *sinks: Tracer):
+        self.sinks = sinks
+
+    @property
+    def instance_label(self) -> str:  # type: ignore[override]
+        """The first sink's label (read at run-header time)."""
+        return getattr(self.sinks[0], "instance_label", "")
+
+    def emit(self, event: Event) -> None:
+        """Hand ``event`` to every sink."""
+        for sink in self.sinks:
+            sink.emit(event)
+
+    def flush(self) -> None:
+        """Flush every sink."""
+        for sink in self.sinks:
+            sink.flush()
+
+
 class JsonlTracer(Tracer):
     """Buffered JSONL trace writer with monotonic timestamps."""
 

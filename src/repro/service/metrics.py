@@ -1,10 +1,10 @@
 """Service metric families on the shared observability registry.
 
 The service instruments itself with the same
-:class:`repro.obs.metrics.MetricsRegistry` machinery the solver hot
-paths use, so one ``GET /metrics`` exposition covers fleet and solver
-state alike (worker processes additionally ship their own snapshots in
-bench runs).  Families, all prefixed ``service_``:
+:class:`repro.obs.metrics.MetricsRegistry` machinery as the solver
+metrics; ``GET /metrics`` exposes the service families only (worker
+processes send no solver metrics back).  Families, all prefixed
+``service_``:
 
 ``service_jobs_total{outcome}``
     terminal job counter — ``done`` / ``cancelled`` / ``failed`` /

@@ -9,16 +9,19 @@ with SolverStats).
 import pytest
 
 from repro import SolverOptions, parse, solve
+from repro.api import available_solvers
+from repro.benchgen import routing_suite
+from repro.core.solver import BsoloSolver
+from repro.obs import NULL_TRACER, LowerBoundEvent, TeeTracer, Tracer, sink_for
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    MetricsSink,
     NULL_METRICS,
     NullMetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
 
 OPT_INSTANCE = """\
@@ -271,19 +274,6 @@ class TestNullMetrics:
         assert null.families() == []
 
 
-class TestDefaultRegistry:
-    """Process-wide default registry swap semantics."""
-
-    def test_set_default_registry_swaps_and_returns_old(self):
-        fresh = MetricsRegistry()
-        old = set_default_registry(fresh)
-        try:
-            assert default_registry() is fresh
-        finally:
-            set_default_registry(old)
-        assert default_registry() is old
-
-
 class TestSolverIntegration:
     """Metrics recorded during a real solve agree with SolverStats."""
 
@@ -302,15 +292,16 @@ class TestSolverIntegration:
         assert 'backend="' in text
 
     def test_default_solve_records_nothing(self):
-        instance = parse(OPT_INSTANCE)
-        fresh = MetricsRegistry()
-        old = set_default_registry(fresh)
-        try:
-            result = solve(instance)
-            assert result.status == "optimal"
-            assert fresh.render_text() == ""
-        finally:
-            set_default_registry(old)
+        # No tracer and no (or a disabled) registry: the solve reports to
+        # the null sink, and the engine runs its raw propagation loop.
+        assert sink_for(SolverOptions()) is NULL_TRACER
+        assert sink_for(SolverOptions(metrics=NULL_METRICS)) is NULL_TRACER
+        solver = BsoloSolver(parse(OPT_INSTANCE))
+        assert solver._tracer is NULL_TRACER
+        propagator = solver._propagator
+        assert propagator.propagate == propagator._propagate_loop
+        assert solver.solve().status == "optimal"
+        assert propagator.propagate_calls == 0
 
     def test_lower_bound_histogram_observed(self):
         instance = parse(OPT_INSTANCE)
@@ -326,3 +317,85 @@ class TestSolverIntegration:
 
     def test_default_buckets_are_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+
+class ListTracer(Tracer):
+    """Collects events in memory."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
+
+
+class TestEventSink:
+    """The registry is one subscriber of the search-event stream."""
+
+    def test_resolver_tees_tracer_and_registry(self):
+        tracer = ListTracer()
+        registry = MetricsRegistry()
+        assert sink_for(SolverOptions(tracer=tracer)) is tracer
+        assert isinstance(sink_for(SolverOptions(metrics=registry)), MetricsSink)
+        both = sink_for(SolverOptions(tracer=tracer, metrics=registry))
+        assert isinstance(both, TeeTracer)
+        result = solve(
+            parse(OPT_INSTANCE), SolverOptions(tracer=tracer, metrics=registry)
+        )
+        kinds = [event.kind for event in tracer.events]
+        assert registry.get_value("solver_decisions") == kinds.count("decision")
+        assert registry.get_value("solver_decisions") == result.stats.decisions
+        calls = tracer.events[-1].propagate_calls
+        assert calls > 0
+        assert registry.get_value("engine_propagate_calls", backend="counter") == calls
+
+    def test_declined_prunes_are_traced_once_after_certification(self, monkeypatch):
+        # Every other certificate fails: half the prunes the bound calls
+        # for are declined, on both the infeasibility and the value path.
+        calls = {"n": 0}
+
+        def alternate(original):
+            def certify(self, *args):
+                original(self, *args)
+                calls["n"] += 1
+                return calls["n"] % 2 == 0
+            return certify
+
+        for name in ("_certify_infeasibility", "_certify_bound_clause"):
+            monkeypatch.setattr(
+                BsoloSolver, name, alternate(getattr(BsoloSolver, name))
+            )
+        tracer = ListTracer()
+        registry = MetricsRegistry()
+        instance = routing_suite(count=3, seed=7)[2]
+        result = solve(
+            instance,
+            SolverOptions(lower_bound="mis", tracer=tracer, metrics=registry),
+        )
+        stats = result.stats
+        bounds = [e for e in tracer.events if isinstance(e, LowerBoundEvent)]
+        pruned = [e for e in bounds if e.pruned]
+        declined = [e for e in bounds if e.declined]
+        assert stats.uncertified_prunes > 0
+        assert len(bounds) == stats.lower_bound_calls
+        assert len([e for e in pruned if not e.infeasible]) == stats.prunings
+        assert len(pruned) == stats.bound_conflicts
+        assert not any(e.pruned and e.declined for e in bounds)
+        assert len(declined) == stats.uncertified_prunes
+        assert registry.get_value("solver_uncertified_prunes") == len(declined)
+        assert registry.get_value("solver_prunings") == stats.prunings
+
+
+CLAUSE_OPTIMUM = parse(OPT_INSTANCE)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in available_solvers() if name != "portfolio"]
+)
+def test_metrics_work_for_every_registry_solver(name):
+    registry = MetricsRegistry()
+    result = solve(CLAUSE_OPTIMUM, name, metrics=registry)
+    assert result.status == "optimal"
+    assert (registry.get_value("solver_incumbents") or 0) >= 1
