@@ -351,9 +351,13 @@ class TestEventSink:
         assert calls > 0
         assert registry.get_value("engine_propagate_calls", backend="counter") == calls
 
-    def test_declined_prunes_are_traced_once_after_certification(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["mis", "lpr"])
+    def test_declined_prunes_are_traced_once_after_certification(
+        self, monkeypatch, method
+    ):
         # Every other certificate fails: half the prunes the bound calls
-        # for are declined, on both the infeasibility and the value path.
+        # for are declined (mis declines on the value path, lpr also on
+        # the infeasibility path).
         calls = {"n": 0}
 
         def alternate(original):
@@ -372,13 +376,15 @@ class TestEventSink:
         instance = routing_suite(count=3, seed=7)[2]
         result = solve(
             instance,
-            SolverOptions(lower_bound="mis", tracer=tracer, metrics=registry),
+            SolverOptions(lower_bound=method, tracer=tracer, metrics=registry),
         )
         stats = result.stats
         bounds = [e for e in tracer.events if isinstance(e, LowerBoundEvent)]
         pruned = [e for e in bounds if e.pruned]
         declined = [e for e in bounds if e.declined]
         assert stats.uncertified_prunes > 0
+        if method == "lpr":
+            assert any(e.infeasible for e in declined)
         assert len(bounds) == stats.lower_bound_calls
         assert len([e for e in pruned if not e.infeasible]) == stats.prunings
         assert len(pruned) == stats.bound_conflicts
