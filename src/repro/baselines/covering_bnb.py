@@ -202,7 +202,6 @@ class CoveringBnBSolver:
             if descending:
                 cost = path_cost()
                 if cost >= upper:
-                    self.stats.prunings += 1
                     prune = True
                 elif all_satisfied():
                     solution = dict(assignment)
@@ -245,7 +244,9 @@ class CoveringBnBSolver:
                             )
                         )
                     if pruned:
-                        self.stats.prunings += 1
+                        # as in bsolo: prunings counts bound-value prunes
+                        if not bound.infeasible:
+                            self.stats.prunings += 1
                         prune = True
 
             if not prune:

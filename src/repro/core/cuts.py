@@ -118,21 +118,19 @@ class CutGenerator:
                 pairs.append((cut, source))
         return pairs, None
 
-    def cardinality_cuts(self, upper: int) -> Tuple[List[Constraint], bool]:
-        """Eq. 13 cuts for the new ``upper``.
+    def cuts_for(
+        self, upper: int
+    ) -> Tuple[
+        Optional[Constraint],
+        List[Tuple[Constraint, Constraint]],
+        Optional[Constraint],
+    ]:
+        """All cuts triggered by a solution of cost ``upper``.
 
-        Returns ``(cuts, optimum_proven)``; the flag is True when some
-        cut's rhs went negative (eq. 12's ``V`` alone reaches the bound).
+        Returns ``(knapsack, pairs, proven_source)``: the eq. 10 cut of
+        :meth:`knapsack_cut` (or None), followed by the eq. 13 result of
+        :meth:`cardinality_cuts_with_sources`.
         """
-        pairs, proven = self.cardinality_cuts_with_sources(upper)
-        return [cut for cut, _ in pairs], proven is not None
-
-    def cuts_for(self, upper: int) -> Tuple[List[Constraint], bool]:
-        """All cuts triggered by a solution of cost ``upper``."""
-        cuts: List[Constraint] = []
         knapsack = self.knapsack_cut(upper)
-        if knapsack is not None:
-            cuts.append(knapsack)
-        card_cuts, proven = self.cardinality_cuts(upper)
-        cuts.extend(card_cuts)
-        return cuts, proven
+        pairs, proven_source = self.cardinality_cuts_with_sources(upper)
+        return knapsack, pairs, proven_source

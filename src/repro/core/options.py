@@ -145,9 +145,8 @@ class SolverOptions:
         #: Learn cutting-plane resolvents alongside first-UIP clauses
         #: (Galena-style PB learning; post-paper extension).
         self.pb_learning = pb_learning
-        #: Propagation backend name (``repro.engine.available_engines()``):
-        #: ``"counter"`` for eager slack counters (the reference engine),
-        #: ``"array"`` for the vectorized CSR/numpy engine.
+        #: Propagation backend name (``repro.engine.available_engines()``;
+        #: ``"counter"``, eager slack counters, is the one that ships).
         #: Validated lazily by ``make_engine`` so third-party backends
         #: registered after option construction still work.
         self.propagation = propagation

@@ -536,12 +536,12 @@ class BsoloSolver:
                 timer.pop()
             if literal is None:  # pragma: no cover - all_assigned handles this
                 return self._finish()
-            self.stats.decisions += 1
             if (
                 self._options.max_decisions is not None
-                and self.stats.decisions > self._options.max_decisions
+                and self.stats.decisions >= self._options.max_decisions
             ):
                 return self._timeout()
+            self.stats.decisions += 1
             if tracer.enabled:
                 tracer.emit(
                     DecisionEvent(
@@ -580,10 +580,14 @@ class BsoloSolver:
             return None
         if self._options.upper_bound_cuts:
             self._timer.push("cuts")
-            cuts, proven = self._cut_generator.cuts_for(self._upper)
+            knapsack, pairs, proven_source = self._cut_generator.cuts_for(
+                self._upper
+            )
             self._timer.pop()
-            if proven:
+            if proven_source is not None:
                 return self._finish()
+            cuts = [] if knapsack is None else [knapsack]
+            cuts.extend(cut for cut, _ in pairs)
             for cut in cuts:
                 conflict = self._propagator.add_constraint(cut)
                 self.stats.cuts_added += 1
@@ -888,9 +892,8 @@ class BsoloSolver:
         if improved and self._options.upper_bound_cuts:
             proof = self._proof
             self._timer.push("cuts")
-            knapsack = self._cut_generator.knapsack_cut(self._upper)
-            pairs, proven_source = (
-                self._cut_generator.cardinality_cuts_with_sources(self._upper)
+            knapsack, pairs, proven_source = self._cut_generator.cuts_for(
+                self._upper
             )
             self._timer.pop()
             if proven_source is not None:

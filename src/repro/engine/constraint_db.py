@@ -1,7 +1,7 @@
-"""The counter backend's constraint database and the shared constraint record.
+"""The counter backend's constraint database and its constraint record.
 
-:class:`StoredConstraint` is the per-constraint record both backends
-hand out (inside :class:`~repro.engine.interface.Conflict`, to the
+:class:`StoredConstraint` is the per-constraint record the engine
+hands out (inside :class:`~repro.engine.interface.Conflict`, to the
 solver's learned-clause reduction policy, to session frame tagging).
 
 :class:`ConstraintDatabase` (counter backend) maintains, for each stored
@@ -27,12 +27,7 @@ from .assignment import Trail
 
 
 class StoredConstraint:
-    """A constraint plus its mutable propagation state.
-
-    ``slack`` is live only on the counter backend; the array backend
-    keeps its slacks in :attr:`ArrayConstraintStore.slack` and uses
-    ``index`` as the row number.
-    """
+    """A constraint plus its mutable propagation state."""
 
     __slots__ = ("constraint", "slack", "index", "learned", "max_coef", "queued")
 

@@ -2,17 +2,10 @@
 
 :class:`PropagationEngine` is the contract between the search loops
 (:class:`~repro.core.solver.BsoloSolver`, the SAT-based baselines, the
-probing preprocessor) and a boolean-constraint-propagation backend.  Two
-backends ship with the repository:
-
-``counter``
-    The reference engine (:class:`~repro.engine.propagation.Propagator`):
-    eager per-assignment slack counters over occurrence lists.
-``array``
-    The vectorized engine (:class:`~repro.engine.array_engine.ArrayPropagator`):
-    the same eager slack rule over CSR numpy arrays
-    (:class:`~repro.engine.array_store.ArrayConstraintStore`), with
-    batched implication scans.
+probing preprocessor) and a boolean-constraint-propagation backend.  One
+backend ships with the repository, ``counter``
+(:class:`~repro.engine.propagation.Propagator`): eager per-assignment
+slack counters over occurrence lists.
 
 Third-party engines plug in through :func:`register_engine` and are then
 selectable everywhere a backend name is accepted
@@ -33,8 +26,8 @@ Every backend must guarantee, for any interleaving of the calls below:
 * ``propagate`` runs implication discovery to a fixed point and returns
   the first conflict found, or ``None``.  The set of literals implied at
   a fixed point is the closure of the rule "an unassigned literal whose
-  coefficient exceeds the constraint's slack is true" and therefore
-  identical across backends; only discovery *order* (and which violated
+  coefficient exceeds the constraint's slack is true", so it does not
+  depend on the backend; only discovery *order* (and which violated
   constraint is reported on a conflict) may differ.
 * Every implication carries an eagerly computed clausal reason on the
   trail and, when it came from a PB constraint, an ``antecedent`` entry,

@@ -17,23 +17,20 @@ from ..certify import ProofChecker, ProofError, ProofLogger
 from .runner import run_one
 from .table1 import family_instances
 
-#: (propagation backend, lb schedule, incremental bounds) grid — every
-#: engine, both schedulers, and the cold-bounder path all emit proofs.
-CONFIGS: Tuple[Tuple[str, str, bool], ...] = (
-    ("counter", "static", True),
-    ("array", "static", True),
-    ("counter", "adaptive", True),
-    ("counter", "static", False),
+#: (lb schedule, incremental bounds) grid — both schedulers and the
+#: cold-bounder path all emit proofs.
+CONFIGS: Tuple[Tuple[str, bool], ...] = (
+    ("static", True),
+    ("adaptive", True),
+    ("static", False),
 )
 
 #: The quick Table 1 stand-in families.
 FAMILIES = ("mcnc", "ptl", "grout")
 
 
-def _config_label(propagation: str, lb_schedule: str, incremental: bool) -> str:
-    return "%s/%s/%s" % (
-        propagation, lb_schedule, "incr" if incremental else "cold"
-    )
+def _config_label(lb_schedule: str, incremental: bool) -> str:
+    return "%s/%s" % (lb_schedule, "incr" if incremental else "cold")
 
 
 def run_certsmoke(
@@ -42,7 +39,7 @@ def run_certsmoke(
     scale: float = 0.5,
     time_limit: float = 30.0,
     solver: str = "bsolo-lpr",
-    configs: Sequence[Tuple[str, str, bool]] = CONFIGS,
+    configs: Sequence[Tuple[str, bool]] = CONFIGS,
 ) -> List[Dict[str, Any]]:
     """Solve, log, and independently re-check every (instance, config).
 
@@ -55,7 +52,7 @@ def run_certsmoke(
     for family in families:
         instances, labels = family_instances(family, count=count, scale=scale)
         for instance, label in zip(instances, labels):
-            for propagation, lb_schedule, incremental in configs:
+            for lb_schedule, incremental in configs:
                 sink = StringIO()
                 logger = ProofLogger(sink)
                 record = run_one(
@@ -63,7 +60,6 @@ def run_certsmoke(
                     instance,
                     label,
                     time_limit,
-                    propagation=propagation,
                     lb_schedule=lb_schedule,
                     incremental_bounds=incremental,
                     proof=logger,
@@ -71,7 +67,7 @@ def run_certsmoke(
                 logger.close()
                 row: Dict[str, Any] = {
                     "instance": label,
-                    "config": _config_label(propagation, lb_schedule, incremental),
+                    "config": _config_label(lb_schedule, incremental),
                     "status": record.result.status,
                     "cost": record.result.best_cost,
                     "steps": logger.steps_logged,

@@ -58,19 +58,15 @@ class WorkerSpec:
 
 
 #: The diversification ladder: each rung is (solver, option overrides).
-#: The propagation backend is a diversification axis too: array rungs
-#: race the counter rungs, so whichever engine fits the instance's
-#: constraint density reaches the optimum first.
 _DEFAULT_LADDER = (
     ("bsolo-lpr", {}),
     ("bsolo-mis", {"restarts": True, "phase_saving": True}),
     ("linear-search", {}),
     ("bsolo-lgr", {"lb_schedule": "adaptive"}),
-    ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive",
-                      "propagation": "array"}),
+    ("bsolo-hybrid", {"pb_learning": True, "lb_schedule": "adaptive"}),
     ("cutting-planes", {}),
     ("bsolo-plain", {"restarts": True}),
-    ("bsolo-lpr", {"propagation": "array", "restarts": True}),
+    ("bsolo-lpr", {"restarts": True}),
     ("milp", {}),
 )
 

@@ -4,8 +4,8 @@ The client is the reference consumer of the protocol in
 ``docs/SERVICE.md``: every endpoint has a one-method wrapper, SSE
 streams surface as generators of ``(event, data)`` pairs, and server
 rejections raise :class:`ServiceError` carrying the protocol error
-code.  Used by the smoke tests, ``examples/service_client.py`` and the
-``servebench`` load generator.
+code.  Used by the tests, ``examples/service_client.py`` and the
+benchmark's ``service-mix`` clients.
 
 Typical use::
 

@@ -199,7 +199,6 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "options",
         [
-            {"propagation": "array"},
             {"lb_schedule": "adaptive"},
             {"incremental_bounds": False},
             {"lower_bound": "mis"},
@@ -219,7 +218,7 @@ class TestEndToEnd:
         assert outcome.cost == result.best_cost
 
     def test_quick_families_all_configs(self):
-        """Certify-after-solve across families x engine/schedule configs."""
+        """Certify-after-solve across families x schedule/bounder configs."""
         from repro.experiments.certsmoke import run_certsmoke
 
         records = run_certsmoke(count=1, scale=0.25, time_limit=30.0)

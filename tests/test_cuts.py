@@ -41,13 +41,13 @@ class TestKnapsackCut:
 class TestCardinalityCuts:
     def test_eq13_cut_emitted(self):
         instance = instance_with_cardinality()
-        cuts, proven = CutGenerator(instance).cardinality_cuts(9)
-        assert not proven
+        pairs, proven = CutGenerator(instance).cardinality_cuts_with_sources(9)
+        assert proven is None
         # Both constraints are cardinality constraints (the clause (4|5)
         # has threshold 1).  For {1,2,3} >= 2: V = 1 + 2 = 3 and the cut is
         # c4 x4 + c5 x5 <= 9 - 1 - 3 = 5.
-        assert len(cuts) == 2
-        cut = next(c for c in cuts if 4 in {abs(l) for l in c.literals})
+        assert len(pairs) == 2
+        cut = next(c for c, _ in pairs if 4 in {abs(l) for l in c.literals})
         solution_ok = {4: 1, 5: 0, 1: 0, 2: 0, 3: 0}  # outside cost 4 <= 5
         solution_bad = {4: 1, 5: 1, 1: 0, 2: 0, 3: 0}  # outside cost 9 > 5
         assert cut.is_satisfied_by(solution_ok)
@@ -56,34 +56,35 @@ class TestCardinalityCuts:
     def test_optimum_proven_when_v_reaches_bound(self):
         instance = instance_with_cardinality()
         # upper = 3: V = 3 > upper - 1 = 2 -> no better solution exists
-        cuts, proven = CutGenerator(instance).cardinality_cuts(3)
-        assert proven
+        _, proven = CutGenerator(instance).cardinality_cuts_with_sources(3)
+        assert proven is not None
 
     def test_negative_literals_excluded(self):
         instance = PBInstance(
             [Constraint.at_least([-1, 2], 1)], Objective({1: 1, 2: 2, 3: 5})
         )
-        cuts, proven = CutGenerator(instance).cardinality_cuts(10)
-        assert cuts == [] and not proven
+        pairs, proven = CutGenerator(instance).cardinality_cuts_with_sources(10)
+        assert pairs == [] and proven is None
 
     def test_disabled(self):
         generator = CutGenerator(instance_with_cardinality(), cardinality_cuts=False)
-        cuts, proven = generator.cardinality_cuts(9)
-        assert cuts == [] and not proven
+        pairs, proven = generator.cardinality_cuts_with_sources(9)
+        assert pairs == [] and proven is None
 
     def test_tautological_cut_skipped(self):
         instance = instance_with_cardinality()
         # huge upper: budget exceeds total outside cost
-        cuts, proven = CutGenerator(instance).cardinality_cuts(100)
-        assert cuts == [] and not proven
+        pairs, proven = CutGenerator(instance).cardinality_cuts_with_sources(100)
+        assert pairs == [] and proven is None
 
 
 class TestCutsFor:
     def test_combined(self):
         instance = instance_with_cardinality()
-        cuts, proven = CutGenerator(instance).cuts_for(9)
-        assert not proven
-        assert len(cuts) == 3  # knapsack + two cardinality cuts
+        knapsack, pairs, proven = CutGenerator(instance).cuts_for(9)
+        assert proven is None
+        assert knapsack is not None
+        assert len(pairs) == 2  # two cardinality cuts
 
     def test_cut_soundness_never_removes_better_solutions(self):
         """Any solution strictly cheaper than the incumbent satisfies all
@@ -92,8 +93,9 @@ class TestCutsFor:
 
         instance = instance_with_cardinality()
         upper = 9
-        cuts, proven = CutGenerator(instance).cuts_for(upper)
-        assert not proven
+        knapsack, pairs, proven = CutGenerator(instance).cuts_for(upper)
+        assert proven is None
+        cuts = [knapsack] + [cut for cut, _ in pairs]
         n = instance.num_variables
         for bits in itertools.product((0, 1), repeat=n):
             assignment = {v: bits[v - 1] for v in range(1, n + 1)}

@@ -218,55 +218,66 @@ class TestOptionScreening:
         assert session.solve().best_cost == 4
 
 
+def assert_stream_lockstep(stream, opts):
+    """Replay ``stream`` on one warm session; every step must match a
+    fresh one-shot solver on the materialised instance."""
+    session = make_session(stream.instance, opts)
+    for index, step in enumerate(stream.steps):
+        if step.pop:
+            session.pop()
+        if step.push is not None:
+            session.push()
+            session.add_constraint(step.push)
+        if step.objective is not None:
+            session.set_objective(step.objective)
+        warm = session.solve_under(step.assumptions)
+        effective, assumptions = stream.materialize(index)
+        cold = BsoloSolver(effective, opts)
+        cold.set_assumptions(list(assumptions))
+        reference = cold.solve()
+        assert (warm.status, warm.best_cost) == (
+            reference.status,
+            reference.best_cost,
+        ), "lockstep diverged at step %d" % index
+
+
+#: Larger stream shapes per family: the assumption family is dense
+#: (constraints ~ 2.3x variables) and runs 16 steps.
+STREAM_SHAPES = {
+    "assumption": dict(
+        num_variables=24, num_constraints=56, steps=16, width=2,
+        consistent_bias=1.0,
+    ),
+    "constraint": dict(num_variables=9, num_constraints=17, steps=9),
+    "objective": dict(num_variables=9, num_constraints=17, steps=8),
+}
+
+
 class TestLockstepStreams:
-    """Cold-equivalence over the benchgen perturbation streams: every
-    step of a warm session must match a fresh one-shot solver on the
-    materialised instance."""
+    """Cold-equivalence over the benchgen perturbation streams."""
 
     @pytest.mark.parametrize("family", sorted(STREAM_BUILDERS))
     @pytest.mark.parametrize("seed", [11, 12])
     def test_stream_lockstep(self, family, seed):
-        builder = STREAM_BUILDERS[family]
-        stream = builder(
+        stream = STREAM_BUILDERS[family](
             num_variables=12, num_constraints=18, steps=6, seed=seed
         )
-        opts = options(lower_bound="hybrid")
-        session = make_session(stream.instance, opts)
-        for index, step in enumerate(stream.steps):
-            if step.pop:
-                session.pop()
-            if step.push is not None:
-                session.push()
-                session.add_constraint(step.push)
-            if step.objective is not None:
-                session.set_objective(step.objective)
-            warm = session.solve_under(step.assumptions)
-            effective, assumptions = stream.materialize(index)
-            cold = BsoloSolver(effective, opts)
-            cold.set_assumptions(list(assumptions))
-            reference = cold.solve()
-            assert (warm.status, warm.best_cost) == (
-                reference.status,
-                reference.best_cost,
-            ), "lockstep diverged at step %d of %s stream" % (index, family)
+        assert_stream_lockstep(stream, options(lower_bound="hybrid"))
 
-    @pytest.mark.parametrize("engine", ["counter", "array"])
+    @pytest.mark.parametrize("family", sorted(STREAM_BUILDERS))
+    @pytest.mark.parametrize("seed", [2000, 2001])
+    def test_larger_stream_lockstep(self, family, seed):
+        stream = STREAM_BUILDERS[family](seed=seed, **STREAM_SHAPES[family])
+        assert_stream_lockstep(stream, options(lower_bound="hybrid"))
+
+    @pytest.mark.parametrize("engine", ["counter"])
     def test_lockstep_across_engines(self, engine):
         stream = assumption_stream(
             num_variables=10, num_constraints=16, steps=5, seed=3
         )
-        opts = options(propagation=engine, lower_bound="mis")
-        session = make_session(stream.instance, opts)
-        for index, step in enumerate(stream.steps):
-            warm = session.solve_under(step.assumptions)
-            effective, assumptions = stream.materialize(index)
-            cold = BsoloSolver(effective, opts)
-            cold.set_assumptions(list(assumptions))
-            reference = cold.solve()
-            assert (warm.status, warm.best_cost) == (
-                reference.status,
-                reference.best_cost,
-            )
+        assert_stream_lockstep(
+            stream, options(propagation=engine, lower_bound="mis")
+        )
 
 
 class TestStreamGenerators:

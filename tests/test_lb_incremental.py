@@ -4,8 +4,9 @@ The incremental machinery (the trail-delta MIS cache) must be
 *invisible*: at every node of any walk the incremental bounder
 returns the same ``(value, infeasible)`` as a cold bounder handed the
 same partial assignment.  These tests replay seeded decision walks on a
-real propagation engine and compare the pair in lockstep, then check
-the solver end-to-end under every incremental/cold configuration.
+real propagation engine and compare the pair in lockstep, on random
+instances and on the Table 1 families, then check the solver end-to-end
+under every incremental/cold and schedule configuration.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 from repro.core.options import SolverOptions
 from repro.core.solver import BsoloSolver
 from repro.engine.interface import Conflict, make_engine
-from repro.experiments.lbbench import bench_drive, drive_walk
+from repro.experiments.table1 import family_instances
 from repro.mis import MISBound
 from repro.pb import Constraint, Objective, PBInstance
 
@@ -79,23 +80,30 @@ def walk_nodes(instance, seed, max_nodes):
         engine.backtrack(0)
 
 
+def drive_walk(instance, seed, max_nodes):
+    """Bound every node of one seeded walk with a trail-attached and a
+    cold :class:`MISBound`, asserting they agree; returns the
+    incremental bounder."""
+    incremental = MISBound(instance)
+    cold = MISBound(instance)
+    attached = False
+    for trail, fixed in walk_nodes(instance, seed, max_nodes):
+        if not attached:
+            incremental.attach_trail(trail)
+            attached = True
+        a = incremental.compute(fixed)
+        b = cold.compute(fixed)
+        assert (a.value, a.infeasible) == (b.value, b.infeasible)
+        assert [tuple(c) for c in a.explanation] == [
+            tuple(c) for c in b.explanation
+        ]
+    return incremental
+
+
 class TestMISLockstep:
     @pytest.mark.parametrize("seed", range(12))
     def test_incremental_equals_cold(self, seed):
-        instance = random_instance(seed)
-        incremental = MISBound(instance)
-        cold = MISBound(instance)
-        attached = False
-        for trail, fixed in walk_nodes(instance, seed + 500, max_nodes=50):
-            if not attached:
-                incremental.attach_trail(trail)
-                attached = True
-            a = incremental.compute(fixed)
-            b = cold.compute(fixed)
-            assert (a.value, a.infeasible) == (b.value, b.infeasible)
-            assert [tuple(c) for c in a.explanation] == [
-                tuple(c) for c in b.explanation
-            ]
+        incremental = drive_walk(random_instance(seed), seed + 500, max_nodes=50)
         assert incremental.cache_hits > 0 or incremental.num_calls <= 1
 
     def test_extras_churn(self):
@@ -110,20 +118,16 @@ class TestMISLockstep:
             assert (a.value, a.infeasible) == (b.value, b.infeasible)
 
 
-class TestBenchDriveLockstep:
-    """The benchmark's own lockstep flags must hold (the CI smoke job
-    asserts them from the generated report)."""
+class TestTable1Lockstep:
+    """The lockstep on the Table 1 families: two instances each at
+    scale 0.5, 40 bounded nodes per walk."""
 
-    def test_drive_walk_flags(self):
-        instance = random_instance(11)
-        outcome = drive_walk(instance, seed=1, max_nodes=40)
-        assert outcome["mis_equal"]
-
-    def test_bench_drive_aggregates(self):
-        instances = [random_instance(s) for s in (21, 22)]
-        result = bench_drive(instances, seed=5, max_nodes=25)
-        assert result["lockstep_bounds_equal"]
-        assert result["mis_incremental"]["calls"] == result["mis_cold"]["calls"]
+    @pytest.mark.parametrize("family", ["mcnc", "ptl", "grout"])
+    def test_incremental_equals_cold_on_family(self, family):
+        instances, _ = family_instances(family, count=2, scale=0.5)
+        for index, instance in enumerate(instances):
+            incremental = drive_walk(instance, 1000 + index, max_nodes=40)
+            assert incremental.num_calls > 1
 
 
 class TestSolverEquivalence:
@@ -143,3 +147,25 @@ class TestSolverEquivalence:
         assert results[True].status == results[False].status
         if results[True].status == "optimal":
             assert results[True].best_cost == results[False].best_cost
+
+    @pytest.mark.parametrize("family", ["mcnc", "ptl", "grout"])
+    def test_table1_optimum_agrees_across_configs(self, family):
+        """Cold/static, incremental/static and incremental/adaptive
+        hybrid bounding prove the same optimum on the Table 1 families."""
+        instances, labels = family_instances(family, count=2, scale=0.5)
+        for instance, label in zip(instances, labels):
+            costs = set()
+            for incremental, schedule in (
+                (False, "static"), (True, "static"), (True, "adaptive")
+            ):
+                options = SolverOptions(
+                    lower_bound="hybrid",
+                    lb_schedule=schedule,
+                    incremental_bounds=incremental,
+                    max_conflicts=400,
+                    time_limit=10,
+                )
+                result = BsoloSolver(instance, options).solve()
+                assert result.status == "optimal", (label, schedule, incremental)
+                costs.add(result.best_cost)
+            assert len(costs) == 1, (label, costs)

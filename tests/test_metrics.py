@@ -11,6 +11,7 @@ import pytest
 from repro import SolverOptions, parse, solve
 from repro.api import available_solvers
 from repro.benchgen import routing_suite
+from repro.experiments.table1 import family_instances
 from repro.core.solver import BsoloSolver
 from repro.obs import NULL_TRACER, LowerBoundEvent, TeeTracer, Tracer, sink_for
 from repro.obs.metrics import (
@@ -350,6 +351,35 @@ class TestEventSink:
         calls = tracer.events[-1].propagate_calls
         assert calls > 0
         assert registry.get_value("engine_propagate_calls", backend="counter") == calls
+
+    def test_decision_budget_exit_counts_only_made_decisions(self):
+        tracer = ListTracer()
+        registry = MetricsRegistry()
+        result = solve(
+            routing_suite(count=3, seed=7)[2],
+            SolverOptions(
+                lower_bound="mis", max_decisions=5, tracer=tracer, metrics=registry
+            ),
+        )
+        decisions = [e for e in tracer.events if e.kind == "decision"]
+        assert result.stats.decisions == 5
+        assert len(decisions) == 5
+        assert registry.get_value("solver_decisions") == 5
+
+    def test_covering_bnb_prunings_match_bound_events(self):
+        tracer = ListTracer()
+        registry = MetricsRegistry()
+        instances, _ = family_instances("mcnc", count=1, scale=0.6)
+        result = solve(
+            instances[0], "covering-bnb", tracer=tracer, metrics=registry
+        )
+        pruned = [
+            e for e in tracer.events
+            if isinstance(e, LowerBoundEvent) and e.pruned and not e.infeasible
+        ]
+        assert result.stats.prunings > 0
+        assert result.stats.prunings == len(pruned)
+        assert registry.get_value("solver_prunings") == result.stats.prunings
 
     @pytest.mark.parametrize("method", ["mis", "lpr"])
     def test_declined_prunes_are_traced_once_after_certification(

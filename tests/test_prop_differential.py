@@ -1,132 +1,183 @@
-"""Differential harness: every propagation backend must agree.
+"""Differential harness: the propagation engine against a reference.
 
-The counter engine is the reference; the array engine is checked
-against it with three layers of evidence:
+The reference is a from-scratch fixpoint: take the decisions on the
+engine's trail, recompute every constraint's slack under the current
+assignment and close under the rule in ``repro.engine.interface`` — an
+unassigned literal whose coefficient exceeds the slack is true — until
+nothing changes or some slack goes negative.  Three layers of evidence:
 
-* a randomized lockstep fuzz driving all engines through the same
-  decide/propagate/backtrack script and comparing implied sets,
-  conflict outcomes and assignment values at every step;
-* full solves on small instances from each benchmark family, which
-  must reach the same status and the same optimum cost;
-* a smoke run of the propbench harness, whose drive mode replays one
-  seeded walk on every backend and checks lockstep propagation counts.
+* a randomized fuzz driving the engine through decide / add /
+  propagate / backtrack scripts and comparing the implied set and the
+  conflict outcome with the reference at every step;
+* the same fuzz with coefficients and right-hand sides at or above
+  ``2**62``, where only exact integer arithmetic gets the slacks right,
+  plus a bsolo-mis solve of such an instance against brute force;
+* full solves on small instances from each benchmark family, which must
+  reach the same status and optimum as the LP-based MILP baseline.
 """
 
 from __future__ import annotations
 
-import json
 import random
+from typing import List, Optional, Sequence, Set
 
 import pytest
 
+from repro import api
 from repro.benchgen import generate_planted, ptl_suite, routing_suite
 from repro.core import OPTIMAL, BsoloSolver, SolverOptions
 from repro.engine.interface import Conflict, make_engine
-from repro.experiments.propbench import (
-    family_instances,
-    format_summary,
-    run_propbench,
-    write_report,
-)
+from repro.pb import Objective, PBInstance
 from repro.pb.constraints import Constraint
 
-BACKENDS = ("counter", "array")
+ENGINE = "counter"
+HUGE = 1 << 62
 
 
 # ----------------------------------------------------------------------
-# Lockstep fuzz
+# Reference fixpoint
 # ----------------------------------------------------------------------
-def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
+def reference_closure(
+    constraints: Sequence[Constraint], decisions: Sequence[int]
+) -> Optional[Set[int]]:
+    """The literals true at the fixpoint reached from ``decisions``, or
+    None when closing under the implication rule hits a conflict."""
+    value = {}
+    for lit in decisions:
+        value[abs(lit)] = lit > 0
+    changed = True
+    while changed:
+        changed = False
+        for constraint in constraints:
+            slack = -constraint.rhs
+            for coef, lit in constraint.terms:
+                if value.get(abs(lit)) != (lit < 0):  # not false
+                    slack += coef
+            if slack < 0:
+                return None
+            for coef, lit in constraint.terms:
+                if coef > slack and abs(lit) not in value:
+                    value[abs(lit)] = lit > 0
+                    changed = True
+    return {var if positive else -var for var, positive in value.items()}
+
+
+def _decisions(trail) -> List[int]:
+    return [trail.decision_at(level) for level in range(1, trail.decision_level + 1)]
+
+
+def _check_against_reference(engine, constraints, conflict, context) -> None:
+    """The engine's propagate outcome must match the reference fixpoint."""
+    reference = reference_closure(constraints, _decisions(engine.trail))
+    assert (conflict is not None) == (reference is None), (
+        "conflict mismatch",
+        context,
+    )
+    if reference is not None:
+        implied = set(engine.trail.literals)
+        assert implied == reference, ("implied mismatch", context, implied ^ reference)
+
+
+# ----------------------------------------------------------------------
+# Fuzz
+# ----------------------------------------------------------------------
+def _random_constraint(rng: random.Random, num_vars: int, base: int = 0) -> Constraint:
+    """A clause, cardinality or general PB constraint; ``base`` is added
+    to every coefficient and to the rhs of general constraints."""
     kind = rng.randrange(3)
     arity = rng.randint(1, min(6, num_vars))
     variables = rng.sample(range(1, num_vars + 1), arity)
     lits = [v if rng.random() < 0.5 else -v for v in variables]
-    if kind == 0:
+    if kind == 0 and not base:
         return Constraint.clause(lits)
-    if kind == 1:
+    if kind == 1 and not base:
         return Constraint.at_least(lits, rng.randint(1, arity))
-    coefs = [rng.randint(1, 7) for _ in lits]
-    rhs = rng.randint(1, max(1, sum(coefs) - 1))
+    coefs = [base + rng.randint(1, 7) for _ in lits]
+    rhs = rng.randint(1, max(1, sum(coefs) - 1 - base)) + base
     return Constraint.greater_equal(list(zip(coefs, lits)), rhs)
 
 
-def _run_lockstep_seed(seed: int) -> None:
+def _run_fuzz_seed(seed: int, base: int = 0) -> None:
     rng = random.Random(seed)
     num_vars = rng.randint(4, 14)
-    num_cons = rng.randint(2, 20)
-    engines = [make_engine(name, num_vars) for name in BACKENDS]
-    # interleave adds with decisions to exercise add-under-assignment
-    constraints = [_random_constraint(rng, num_vars) for _ in range(num_cons)]
+    engine = make_engine(ENGINE, num_vars)
+    trail = engine.trail
+    pool = [_random_constraint(rng, num_vars, base) for _ in range(rng.randint(2, 20))]
+    attached: List[Constraint] = []
+    # Highest level at which a constraint was attached above the root.
+    # Its implications there may already hold lower down; the engine
+    # rediscovers those only when rescheduled (as sessions do), so a
+    # backtrack below that level is followed by ``reschedule_all``.
+    added_level = 0
+
+    def backtrack(context) -> Optional[Conflict]:
+        """Backtrack to a random lower level and propagate again."""
+        nonlocal added_level
+        target = rng.randint(0, trail.decision_level - 1)
+        engine.backtrack(target)
+        if added_level > target:
+            engine.reschedule_all()
+            added_level = target
+        conflict = engine.propagate()
+        _check_against_reference(engine, attached, conflict, context)
+        return conflict
+
     for step in range(rng.randint(10, 60)):
+        context = (seed, step)
         op = rng.random()
-        if constraints and op < 0.25:
-            constraint = constraints.pop()
-            results = [engine.add_constraint(constraint) for engine in engines]
-            kinds = [isinstance(result, Conflict) for result in results]
-            assert len(set(kinds)) == 1, ("add mismatch", seed, step, kinds)
-            if kinds[0]:
-                return  # both conflicted at add; stop this seed
+        if pool and op < 0.25:
+            constraint = pool.pop()
+            attached.append(constraint)
+            added_level = max(added_level, trail.decision_level)
+            conflict = engine.add_constraint(constraint) or engine.propagate()
+            _check_against_reference(engine, attached, conflict, context)
         elif op < 0.65:
-            free = [
-                v
-                for v in range(1, num_vars + 1)
-                if engines[0].trail.value(v) < 0
-            ]
+            free = [v for v in range(1, num_vars + 1) if trail.value(v) < 0]
             if not free:
                 continue
             var = rng.choice(free)
-            lit = var if rng.random() < 0.5 else -var
-            for engine in engines:
-                engine.decide(lit)
-            results = [engine.propagate() for engine in engines]
-            kinds = [isinstance(result, Conflict) for result in results]
-            assert len(set(kinds)) == 1, (
-                "conflict mismatch",
-                seed,
-                step,
-                kinds,
-            )
-            if kinds[0]:
-                level = engines[0].trail.decision_level
-                target = rng.randint(0, max(0, level - 1))
-                for engine in engines:
-                    engine.backtrack(target)
-            else:
-                # the implied-literal fixpoint of a *non-conflicting*
-                # propagate call is part of the equivalence contract
-                implied = [set(engine.trail.literals) for engine in engines]
-                for backend, other in zip(BACKENDS[1:], implied[1:]):
-                    assert implied[0] == other, (
-                        "implied mismatch",
-                        seed,
-                        step,
-                        backend,
-                        implied[0] ^ other,
-                    )
+            engine.decide(var if rng.random() < 0.5 else -var)
+            conflict = engine.propagate()
+            _check_against_reference(engine, attached, conflict, context)
+        elif trail.decision_level > 0:
+            conflict = backtrack(context)
         else:
-            level = engines[0].trail.decision_level
-            if level == 0:
-                continue
-            target = rng.randint(0, level - 1)
-            for engine in engines:
-                engine.backtrack(target)
-        trails = [engine.trail for engine in engines]
-        for v in range(1, num_vars + 1):
-            values = [trail.value(v) for trail in trails]
-            assert len(set(values)) == 1, (
-                "value mismatch",
-                seed,
-                step,
-                v,
-                values,
-            )
+            continue
+        while conflict is not None:
+            if trail.decision_level == 0:
+                return
+            conflict = backtrack(context)
 
 
-class TestLockstepFuzz:
+class TestReferenceFuzz:
     @pytest.mark.parametrize("block", range(4))
-    def test_backends_agree_under_random_scripts(self, block):
+    def test_engine_matches_reference_fixpoint(self, block):
         for seed in range(block * 20, (block + 1) * 20):
-            _run_lockstep_seed(seed)
+            _run_fuzz_seed(seed)
+
+
+class TestHugeCoefficients:
+    def test_terms_beyond_two_to_the_62_propagate_exactly(self):
+        for seed in range(40):
+            _run_fuzz_seed(1000 + seed, base=HUGE)
+
+    def test_bsolo_mis_matches_brute_force(self):
+        rng = random.Random(62)
+        for _ in range(6):
+            num_vars = 9
+            constraints = [
+                _random_constraint(rng, num_vars, base=HUGE)
+                for _ in range(rng.randint(3, 7))
+            ]
+            assert any(
+                coef >= HUGE for constraint in constraints for coef, _ in constraint.terms
+            )
+            costs = {var: rng.randint(1, 9) for var in range(1, num_vars + 1)}
+            instance = PBInstance(constraints, Objective(costs), num_vars)
+            expected = api.solve(instance, "brute-force")
+            result = api.solve(instance, "bsolo-mis")
+            assert result.status == expected.status
+            assert result.best_cost == expected.best_cost
 
 
 # ----------------------------------------------------------------------
@@ -154,46 +205,9 @@ def _small_instances():
 class TestFullSolveAgreement:
     def test_same_status_and_optimum_on_every_family(self):
         for label, instance in _small_instances():
-            outcomes = {}
-            for backend in BACKENDS:
-                options = SolverOptions.plain(
-                    propagation=backend, time_limit=30.0
-                )
-                result = BsoloSolver(instance, options).solve()
-                outcomes[backend] = result
-            statuses = {backend: r.status for backend, r in outcomes.items()}
-            assert len(set(statuses.values())) == 1, (label, statuses)
-            if outcomes["counter"].status == OPTIMAL:
-                costs = {backend: r.best_cost for backend, r in outcomes.items()}
-                assert len(set(costs.values())) == 1, (label, costs)
-
-
-# ----------------------------------------------------------------------
-# Propbench smoke
-# ----------------------------------------------------------------------
-class TestPropbenchSmoke:
-    def test_quick_report_round_trip(self, tmp_path):
-        report = run_propbench(
-            families=("ptl",),
-            count=1,
-            scale=0.2,
-            rounds=4,
-            trials=1,
-            solve=False,
-        )
-        drive = report["families"]["ptl"]["drive"]
-        assert drive["lockstep_props_equal"]
-        for backend in BACKENDS:
-            assert drive[backend]["propagations"] >= 0
-        summary = format_summary(report)
-        assert "propagation microbenchmark" in summary
-        path = write_report(report, str(tmp_path / "bench.json"))
-        with open(path) as handle:
-            assert json.load(handle)["benchmark"] == "propagation"
-
-    def test_family_instances_cover_all_families(self):
-        for family in ("ptl", "grout", "random"):
-            instances = family_instances(family, count=1, scale=0.2)
-            assert instances and instances[0].num_variables > 0
-        with pytest.raises(ValueError):
-            family_instances("nope")
+            options = SolverOptions.plain(propagation=ENGINE, time_limit=30.0)
+            result = BsoloSolver(instance, options).solve()
+            reference = api.solve(instance, "milp", SolverOptions(time_limit=30.0))
+            assert result.status == reference.status, label
+            if reference.status == OPTIMAL:
+                assert result.best_cost == reference.best_cost, label

@@ -4,7 +4,6 @@ backend shares, the engine registry and learned-constraint deletion."""
 import pytest
 
 from repro.engine import (
-    ArrayPropagator,
     Conflict,
     Propagator,
     UnknownEngineError,
@@ -15,7 +14,7 @@ from repro.engine import (
 from repro.pb import Constraint
 
 #: Every shipped backend; the rule tests below run on each.
-BACKENDS = ["counter", "array"]
+BACKENDS = ["counter"]
 
 
 def propagator_with(num_vars, constraints, backend="counter"):
@@ -373,10 +372,10 @@ class TestGeneralPBRules:
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_both_backends_registered(self):
+    def test_counter_registered(self):
         names = available_engines()
         assert "counter" in names
-        assert "array" in names
+        assert "array" not in names
 
     def test_descriptions_cover_all_engines(self):
         descriptions = engine_descriptions()
@@ -385,13 +384,14 @@ class TestRegistry:
 
     def test_make_engine_dispatches(self):
         assert isinstance(make_engine("counter", 4), Propagator)
-        assert isinstance(make_engine("array", 4), ArrayPropagator)
 
     def test_unknown_engine_raises(self):
         with pytest.raises(UnknownEngineError):
             make_engine("no-such-backend", 4)
         with pytest.raises(UnknownEngineError):
             make_engine("watched", 4)
+        with pytest.raises(UnknownEngineError):
+            make_engine("array", 4)
 
     def test_unknown_engine_is_value_error(self):
         with pytest.raises(ValueError):

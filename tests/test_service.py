@@ -10,9 +10,10 @@ import time
 import pytest
 
 from repro import api
+from repro.benchgen import generate_planted
 from repro.core.options import SolverOptions
 from repro.engine import available_engines
-from repro.pb.opb import parse
+from repro.pb.opb import parse, write
 from repro.service import (
     BackgroundServer,
     ServiceClient,
@@ -112,8 +113,11 @@ class TestProtocolUnit:
 
 class TestEndToEnd:
     def test_concurrent_batch_matches_direct_solve(self, client):
+        planted, _ = generate_planted(
+            num_variables=6, num_constraints=9, max_arity=3, seed=9000
+        )
         texts = [EASY, slow_instance(8),
-                 "min: +1 x1;\n+1 x1 +1 x2 >= 1;\n"]
+                 "min: +1 x1;\n+1 x1 +1 x2 >= 1;\n", write(planted)]
         direct = [
             api.solve(parse(io.StringIO(t)), "bsolo-lpr", SolverOptions())
             for t in texts
@@ -138,6 +142,11 @@ class TestEndToEnd:
         result = duplicate["result"]
         assert result["cached"] is True
         assert result["cost"] == first["result"]["cost"]
+        reference = api.solve(
+            parse(io.StringIO(EASY_RENAMED)), "bsolo-lpr", SolverOptions()
+        )
+        assert result["status"] == reference.status
+        assert result["cost"] == reference.best_cost
         # the cached model must satisfy the *renamed* instance
         instance = parse(io.StringIO(EASY_RENAMED))
         model = {int(var): val for var, val in result["model"].items()}
@@ -279,11 +288,12 @@ class TestHttpSurface:
         assert err.value.code == "bad_request" and err.value.status == 400
 
     def test_unknown_engine_400(self, client):
-        with pytest.raises(ServiceError) as err:
-            client.submit(EASY, options={"propagation": "watched"})
-        assert err.value.code == "bad_request" and err.value.status == 400
-        for name in available_engines():
-            assert name in str(err.value)
+        for removed in ("watched", "array"):
+            with pytest.raises(ServiceError) as err:
+                client.submit(EASY, options={"propagation": removed})
+            assert err.value.code == "bad_request" and err.value.status == 400
+            for name in available_engines():
+                assert name in str(err.value)
 
     def test_unknown_route_404_and_wrong_method_405(self, client):
         status, body = client._request("GET", "/nope")

@@ -169,6 +169,18 @@ class TestSolverModes:
             if result.model is not None:
                 assert wbo.cost_of(result.model) == expected
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scale", [0.4, 1.0])
+    def test_wbo_suite_matches_brute_force(self, mode, scale):
+        for wbo in wbo_suite(count=3, scale=scale, seed=7000):
+            expected = brute_force_wbo(wbo)
+            result = solve_wbo(wbo, mode=mode)
+            if expected is None:
+                assert result.status == UNSATISFIABLE
+            else:
+                assert result.status == OPTIMAL
+                assert result.cost == expected
+
     def test_core_guided_records_cores(self):
         solver = WBOSolver(simple_wbo(), mode="core-guided")
         result = solver.solve()

@@ -1,8 +1,8 @@
 """Record solver metrics for the metric-parity test.
 
 Solves seeded grout, mcnc, ptl and random instances under every
-``lower_bound`` method in {mis, lgr, lpr, hybrid} and both propagation
-engines, replays one :class:`repro.incremental.SolverSession` push/pop
+``lower_bound`` method in {mis, lgr, lpr, hybrid} on the counter
+propagation engine, replays one :class:`repro.incremental.SolverSession` push/pop
 ``solve_under`` stream, and runs one proof-logged solve, each with a
 fresh :class:`repro.obs.metrics.MetricsRegistry`.  Every counter value
 and each histogram's sample count, per label set, is written as JSON
@@ -42,7 +42,7 @@ from repro.pb.constraints import Constraint
 from repro.pb.opb import parse, write
 
 METHODS = ("mis", "lgr", "lpr", "hybrid")
-ENGINES = ("counter", "array")
+ENGINES = ("counter",)
 #: Family -> scale of the one instance drawn from ``family_instances``.
 SCALES = {"grout": 0.8, "mcnc": 0.8, "ptl": 0.5}
 RANDOM_SEED = 1

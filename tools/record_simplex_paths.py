@@ -55,10 +55,9 @@ def node_lps(instance, rng: random.Random, count: int) -> List[Dict]:
         extra = []
         if total_cost and rng.random() < 0.7:
             upper = rng.randint(1, total_cost)
-            knapsack = cuts.knapsack_cut(upper)
+            knapsack, pairs, _ = cuts.cuts_for(upper)
             if knapsack is not None:
                 extra.append(knapsack)
-            pairs, _ = cuts.cardinality_cuts_with_sources(upper)
             extra.extend(cut for cut, _ in pairs)
         data = build_lp_data(instance, fixed, extra)
         if data is None or data.num_rows == 0:
